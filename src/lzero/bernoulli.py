@@ -11,7 +11,6 @@ Conventions:
 """
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction

@@ -24,26 +24,30 @@ class B1Cache:
     def __init__(self, directory: str | None = None):
         self._mem: dict[tuple[int, tuple[int, ...]], CycloElt] = {}
         self._path: str | None = None
+        self._midline = False
         if directory:
             self.attach(directory)
 
     def attach(self, directory: str) -> None:
-        """Bind to a directory, loading any existing entries."""
+        """Bind to a directory, loading any existing entries.
+
+        A line that does not parse (say, a write cut short) is skipped; its
+        value is recomputed on demand and appended again on a fresh line.
+        """
         os.makedirs(directory, exist_ok=True)
         self._path = os.path.join(directory, _FILENAME)
         if os.path.exists(self._path):
             with open(self._path, "r", encoding="ascii") as fh:
+                line = ""
                 for line in fh:
-                    line = line.strip()
-                    if not line:
+                    try:
+                        rec = json.loads(line)
+                        key = (rec["f"], tuple(rec["chi"]))
+                        elt = CycloElt.from_strings(rec["k"], rec["b1"])
+                    except (ValueError, KeyError, TypeError):
                         continue
-                    rec = json.loads(line)
-                    elt = CycloElt.from_strings(rec["k"], rec["b1"])
-                    self._mem[(rec["f"], tuple(rec["chi"]))] = elt
-
-    def detach(self) -> None:
-        self._path = None
-        self._mem.clear()
+                    self._mem[key] = elt
+            self._midline = bool(line) and not line.endswith("\n")
 
     def get(self, f: int, chi: tuple[int, ...]) -> CycloElt | None:
         return self._mem.get((f, chi))
@@ -55,5 +59,9 @@ class B1Cache:
         self._mem[key] = b1
         if self._path:
             rec = {"f": f, "chi": list(chi), "k": b1.order, "b1": b1.coord_strings()}
+            line = json.dumps(rec, sort_keys=True) + "\n"
+            if self._midline:
+                line = "\n" + line
+                self._midline = False
             with open(self._path, "a", encoding="ascii") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.write(line)

@@ -36,7 +36,7 @@ from .errors import (
     TheoremViolation,
 )
 from .nt import is_prime
-from .padic import N_START, build_tower, cyclo_valuation
+from .padic import N_START, build_tower
 from .scans import (
     deligne_ribet_check,
     deligne_ribet_scan,
@@ -50,7 +50,8 @@ from .scans import (
     twisted_pair_witness,
 )
 
-_INPUT_ERRORS = (ImprimitiveInput, IncompatibleOrders, NoOrderPCharacter, NotPrimePower)
+_INPUT_ERRORS = (ImprimitiveInput, IncompatibleOrders, NoOrderPCharacter, NotPrimePower,
+                 ValueError)
 
 
 def _jsonable(obj):
@@ -115,9 +116,9 @@ def _parse_chi(text: str) -> tuple[int, ...]:
         raise ValueError(f"--chi expects comma-separated integers, got {text!r}")
 
 
-def _require_odd_prime(p: int, flag: str = "-p") -> None:
+def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"{flag} must be an odd prime, got {p}")
+        raise ValueError(f"-p must be an odd prime, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,6 @@ def _require_odd_prime(p: int, flag: str = "-p") -> None:
 
 def _cmd_prop1(args):
     records = nonintegral_locus_scan(args.fmax, args.pmax, args.precision, args.jobs)
-    rec_dicts = [dataclasses.asdict(r) for r in records]
     neg = sum(1 for r in records if r.valuation < 0)
     probes = [r for r in records if r.question2_zero is not None]
     summary = {
@@ -134,7 +134,7 @@ def _cmd_prop1(args):
         "question2_probes": len(probes),
         "question2_zero": sum(1 for r in probes if r.question2_zero),
     }
-    return rec_dicts, _sorted_towers(r.tower for r in records), summary, "ok"
+    return records, _sorted_towers(r.tower for r in records), summary, "ok"
 
 
 def _cmd_lvalue(args):
@@ -181,8 +181,7 @@ def _cmd_kummer(args):
         rows = kummer_check(args.p)
     else:
         rows = kummer_scan(args.pmax)
-    records = [dataclasses.asdict(r) for r in rows]
-    return records, [], {"rows": len(rows), "violations": 0}, "ok"
+    return rows, [], {"rows": len(rows), "violations": 0}, "ok"
 
 
 def _cmd_deligne_ribet(args):
@@ -192,26 +191,23 @@ def _cmd_deligne_ribet(args):
         rows = [deligne_ribet_check(DirichletChar(args.f, _parse_chi(args.chi)))]
     else:
         rows = deligne_ribet_scan(args.fmax)
-    records = [dataclasses.asdict(r) for r in rows]
-    return records, [], {"checked": len(rows), "violations": 0}, "ok"
+    return rows, [], {"checked": len(rows), "violations": 0}, "ok"
 
 
 def _cmd_remark2(args):
     _require_odd_prime(args.p)
     rows = pole_depth_check(args.p, args.rmax, args.precision)
-    records = [dataclasses.asdict(r) for r in rows]
     towers = _sorted_towers(
         build_tower(args.p, DirichletChar(r.modulus, r.exponents).value_order,
                     args.precision).descriptor()
         for r in rows
     )
-    return records, towers, {"rows": len(rows)}, "ok"
+    return rows, towers, {"rows": len(rows)}, "ok"
 
 
 def _cmd_star(args):
     _require_odd_prime(args.p)
     rep = odd_product_identity_check(args.p, args.precision)
-    record = dataclasses.asdict(rep)
     towers = _sorted_towers(
         build_tower(args.p, DirichletChar(args.p, exps).value_order,
                     args.precision).descriptor()
@@ -222,13 +218,12 @@ def _cmd_star(args):
         "unique_pole": rep.unique_pole,
         "product_identity": rep.product_identity,
     }
-    return [record], towers, summary, "ok"
+    return [rep], towers, summary, "ok"
 
 
 def _cmd_congruence(args):
     _require_odd_prime(args.p)
     rep = residue_congruence_scan(args.fmax, args.p, args.precision)
-    records = [dataclasses.asdict(pr) for pr in rep.pairs]
     anomalies = sum(1 for pr in rep.pairs if not pr.equal)
     summary = {
         "classes": rep.n_classes,
@@ -238,20 +233,19 @@ def _cmd_congruence(args):
         "anomalies": anomalies,
     }
     status = "anomalies" if anomalies else "ok"
-    return records, [], summary, status
+    return rep.pairs, [], summary, status
 
 
 def _cmd_corollary1(args):
     _require_odd_prime(args.p)
     untwisted, twisted = twisted_pair_witness(args.p, args.q, args.precision)
-    records = [dataclasses.asdict(untwisted), dataclasses.asdict(twisted)]
     towers = _sorted_towers([untwisted.tower, twisted.tower])
     summary = {
         "untwisted_valuation": untwisted.valuation,
         "twisted_valuation": twisted.valuation,
         "question2_zero": twisted.question2_zero,
     }
-    return records, towers, summary, "ok"
+    return [untwisted, twisted], towers, summary, "ok"
 
 
 _HANDLERS = {
@@ -367,9 +361,6 @@ def main(argv=None) -> int:
         _emit(envelope, getattr(args, "format", "json"))
         return 1
     except _INPUT_ERRORS as exc:
-        print(f"lzero {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"lzero {args.command}: {exc}", file=sys.stderr)
         return 2
     envelope = _envelope(args.command, params, towers, records, summary, status)

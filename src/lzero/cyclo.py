@@ -295,11 +295,11 @@ class CycloElt:
         d, _, mulrows = _ctx(a.order)
         if d == 1:
             return CycloElt(a.order, [a.coords[0] * b.coords[0]])
-        da = lcm(*(c.denominator for c in a.coords)) if d > 1 else 1
-        db = lcm(*(c.denominator for c in b.coords)) if d > 1 else 1
+        da = lcm(*(c.denominator for c in a.coords))
+        db = lcm(*(c.denominator for c in b.coords))
         ia = [int(c * da) for c in a.coords]
         ib = [int(c * db) for c in b.coords]
-        prod = poly_mul_reduce(ia, ib, mulrows, None)
+        prod = poly_mul_reduce(ia, ib, mulrows)
         den = da * db
         return CycloElt(a.order, [Fraction(x, den) for x in prod])
 

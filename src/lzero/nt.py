@@ -65,13 +65,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def mobius(n: int) -> int:
-    fac = factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 def valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n (n != 0)."""
     if n == 0:

@@ -32,9 +32,9 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from lzero._kernels import poly_mul_reduce, tower_mul
+from lzero._kernels import tower_mul
 from lzero.characters import DirichletChar, eval_exponent, unit_group_basis, _char_data
 from lzero.cyclo import CycloElt, IntPoly, cyclotomic_poly
 from lzero.errors import IncompatibleOrders, PrecisionExhausted

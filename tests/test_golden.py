@@ -1,11 +1,11 @@
 """Golden corpus: the exact stdout and exit code of one CLI run per case.
 
-Each case runs ``python -m lzero ARGS`` in a fresh interpreter against this
-checkout's ``src``, with every ``LZERO_*`` variable removed from the
-environment, and compares stdout byte for byte with
-``tests/golden/<case>.out``.  A refactor that changes any of these bytes
-changes the program's output, so the corpus is regenerated only after a
-deliberate output change, and the diff is reviewed:
+Each case runs ``python -m lzero ARGS`` in a fresh interpreter, with every
+``LZERO_*`` variable removed from the environment, and compares stdout
+byte for byte with ``tests/golden/<case>.out``.  A refactor that changes
+any of these bytes changes the program's output, so the corpus is
+regenerated only after a deliberate output change, and the diff is
+reviewed.  From the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # case name -> (argv, exit code)
 CASES = {
@@ -40,13 +39,8 @@ CASES = {
 
 def _run(argv):
     env = {k: v for k, v in os.environ.items() if not k.startswith("LZERO_")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "lzero", *argv],
                           capture_output=True, env=env)
-
-
-def _golden(case):
-    return (GOLDEN / f"{case}.out").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -54,16 +48,27 @@ def test_stdout_matches_golden(case):
     argv, code = CASES[case]
     out = _run(argv)
     assert out.returncode == code, out.stderr.decode()
-    assert out.stdout == _golden(case)
+    assert out.stdout == (GOLDEN / f"{case}.out").read_bytes()
 
 
-def test_cached_runs_match_uncached_golden(tmp_path):
+def test_cache_never_changes_stdout(tmp_path):
     argv, code = CASES["deligne_ribet"]
-    cached = [*argv, "--cache-dir", str(tmp_path / "cache")]
-    for _ in range(2):  # the first run fills the cache, the second reads it
-        out = _run(cached)
+    want = (GOLDEN / "deligne_ribet.out").read_bytes()
+    jsonl = tmp_path / "b1chi.jsonl"
+
+    def cached_run():
+        out = _run([*argv, "--cache-dir", str(tmp_path)])
         assert out.returncode == code, out.stderr.decode()
-        assert out.stdout == _golden("deligne_ribet")
+        assert out.stdout == want
+        return jsonl.stat().st_size
+
+    full = cached_run()  # fills the empty cache
+    assert cached_run() == full  # reads it back and appends nothing
+    jsonl.write_bytes(jsonl.read_bytes()[:-10])  # cut the last entry short
+    # the lost entry is recomputed and appended on a line of its own, so
+    # every later run reads all entries back and appends nothing
+    sizes = [cached_run() for _ in range(3)]
+    assert sizes[0] > full - 10 and sizes[0] == sizes[1] == sizes[2]
 
 
 if __name__ == "__main__":

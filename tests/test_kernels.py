@@ -1,18 +1,12 @@
-"""Backend-independent behaviour of the arithmetic kernels.
+"""Behaviour of the arithmetic kernels.
 
 The oracle here is schoolbook polynomial arithmetic with explicit long
 division, written without reference to the kernel code.
 """
 
-import os
 import random
-import subprocess
-import sys
-
-import pytest
 
 from lzero import _kernels
-from lzero import _kernels_py
 
 
 def _poly_rem(poly, monic):
@@ -28,15 +22,12 @@ def _poly_rem(poly, monic):
     return rem
 
 
-def _naive_mul_mod(a, b, monic, modulus):
+def _naive_mul(a, b, monic):
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             prod[i + j] += ai * bj
-    rem = _poly_rem(prod, monic)
-    if modulus is not None:
-        rem = [c % modulus for c in rem]
-    return rem
+    return _poly_rem(prod, monic)
 
 
 def _rows_for(monic):
@@ -53,9 +44,7 @@ def _random_monic(rng, degree, bound):
     return [rng.randrange(-bound, bound) for _ in range(degree)] + [1]
 
 
-@pytest.mark.parametrize("backend", ["python", "selected"])
-def test_poly_mul_reduce_matches_schoolbook(backend):
-    impl = _kernels_py if backend == "python" else _kernels
+def test_poly_mul_reduce_matches_schoolbook():
     rng = random.Random(7101)
     for _ in range(40):
         d = rng.randrange(1, 12)
@@ -63,22 +52,17 @@ def test_poly_mul_reduce_matches_schoolbook(backend):
         rows = _rows_for(monic)
         a = [rng.randrange(-10**6, 10**6) for _ in range(d)]
         b = [rng.randrange(-10**6, 10**6) for _ in range(d)]
-        modulus = rng.choice([None, 97, 5**13])
-        assert impl.poly_mul_reduce(a, b, rows, modulus) == _naive_mul_mod(
-            a, b, monic, modulus
-        )
+        assert _kernels.poly_mul_reduce(a, b, rows) == _naive_mul(a, b, monic)
 
 
 def test_poly_mul_reduce_big_coefficients():
-    """Coefficients far beyond 64 bits must survive both backends."""
+    """Coefficients far beyond 64 bits must survive."""
     rng = random.Random(88)
     monic = [3, -2, 1, 1]  # x^3 + x^2 - 2x + 3
     rows = _rows_for(monic)
     a = [rng.randrange(-(10**40), 10**40) for _ in range(3)]
     b = [rng.randrange(-(10**40), 10**40) for _ in range(3)]
-    want = _naive_mul_mod(a, b, monic, None)
-    assert _kernels.poly_mul_reduce(a, b, rows, None) == want
-    assert _kernels_py.poly_mul_reduce(a, b, rows, None) == want
+    assert _kernels.poly_mul_reduce(a, b, rows) == _naive_mul(a, b, monic)
 
 
 def _naive_tower_mul(amat, bmat, gmonic, emonic, modulus):
@@ -111,8 +95,7 @@ def _naive_tower_mul(amat, bmat, gmonic, emonic, modulus):
     return [[c % modulus for c in row] for row in out]
 
 
-@pytest.mark.parametrize("impl", [_kernels_py, _kernels])
-def test_tower_mul_matches_schoolbook(impl):
+def test_tower_mul_matches_schoolbook():
     rng = random.Random(424242)
     for _ in range(25):
         e = rng.randrange(1, 6)
@@ -124,44 +107,7 @@ def test_tower_mul_matches_schoolbook(impl):
         erows = _rows_for(emonic)
         amat = [[rng.randrange(modulus) for _ in range(f)] for _ in range(e)]
         bmat = [[rng.randrange(modulus) for _ in range(f)] for _ in range(e)]
-        got = impl.tower_mul(amat, bmat, grows, erows, modulus)
+        got = _kernels.tower_mul(amat, bmat, grows, erows, modulus)
         want = _naive_tower_mul(amat, bmat, gmonic, emonic, modulus)
         assert got == want
 
-
-def test_compiled_backend_agrees_with_python():
-    cy = pytest.importorskip("lzero._kernels_cy")
-    rng = random.Random(5150)
-    for _ in range(30):
-        d = rng.randrange(1, 10)
-        monic = _random_monic(rng, d, 50)
-        rows = _rows_for(monic)
-        a = [rng.randrange(-(10**30), 10**30) for _ in range(d)]
-        b = [rng.randrange(-(10**30), 10**30) for _ in range(d)]
-        assert cy.poly_mul_reduce(a, b, rows, None) == _kernels_py.poly_mul_reduce(
-            a, b, rows, None
-        )
-        e = rng.randrange(1, 5)
-        modulus = 3**12
-        gm = _random_monic(rng, d, modulus)
-        em = _random_monic(rng, e, modulus)
-        am = [[rng.randrange(modulus) for _ in range(d)] for _ in range(e)]
-        bm = [[rng.randrange(modulus) for _ in range(d)] for _ in range(e)]
-        assert cy.tower_mul(am, bm, _rows_for(gm), _rows_for(em), modulus) == \
-            _kernels_py.tower_mul(am, bm, _rows_for(gm), _rows_for(em), modulus)
-
-
-def test_pure_env_forces_python_backend():
-    env = dict(os.environ, LZERO_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from lzero import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_backend_name_is_exported():
-    import lzero
-
-    assert lzero.KERNEL_BACKEND in ("python", "cython")
-    assert _kernels.BACKEND == lzero.KERNEL_BACKEND
