@@ -36,7 +36,7 @@ from .errors import (
     TheoremViolation,
 )
 from .nt import is_prime
-from .padic import N_START, build_tower
+from .padic import N_CAP, N_START, build_tower
 from .scans import (
     deligne_ribet_check,
     deligne_ribet_scan,
@@ -114,6 +114,29 @@ def _parse_chi(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--chi expects comma-separated integers, got {text!r}")
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+
+
+def _precision(text: str) -> int:
+    """--precision: the ladder starts here, so it must be a rung it can run."""
+    n = _int_arg(text)
+    if not 1 <= n <= N_CAP:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{N_CAP}, got {n}")
+    return n
+
+
+def _jobs(text: str) -> int:
+    """--jobs: at least one worker, and no more workers than CPUs."""
+    n = _int_arg(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _require_odd_prime(p: int) -> None:
@@ -273,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, *, precision=True, fmt=True, cache=True):
         if precision:
-            sp.add_argument("--precision", type=int, default=N_START, metavar="N",
-                            help=f"starting p-adic working precision (default {N_START})")
+            sp.add_argument("--precision", type=_precision, default=N_START, metavar="N",
+                            help=f"starting p-adic working precision, 1..{N_CAP} "
+                                 f"(default {N_START})")
         if fmt:
             sp.add_argument("--format", choices=("json", "csv"), default="json",
                             help="output format (default json; csv drops nesting)")
@@ -288,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prop1", help="scan the non-integrality classification")
     sp.add_argument("--fmax", type=int, required=True, help="largest conductor")
     sp.add_argument("--pmax", type=int, required=True, help="largest prime")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sp.add_argument("--jobs", type=_jobs, default=1,
+                    help="worker processes (at least 1; more than the CPU count are capped)")
     common(sp)
 
     sp = sub.add_parser("lvalue", help="exact L(0, chi), optionally judged at p")

@@ -33,11 +33,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from lzero._kernels import tower_mul
 from lzero.characters import DirichletChar, eval_exponent, unit_group_basis, _char_data
 from lzero.cyclo import CycloElt, IntPoly, cyclotomic_poly
-from lzero.errors import IncompatibleOrders, PrecisionExhausted
+from lzero.errors import IncompatibleOrders, PrecisionExhausted, TheoremViolation
 from lzero.nt import euler_phi, factorize, is_prime, multiplicative_order, valuation
 
 N_START = 16
@@ -215,7 +216,8 @@ def _hensel_lift(F: IntPoly, g_bar: tuple[int, ...], p: int, N: int) -> list[int
         E = []
         for i in range(len(Fc)):
             diff = (Fc[i] - (GH[i] if i < len(GH) else 0)) % nxt
-            assert diff % mod == 0
+            if diff % mod:
+                raise TheoremViolation("Hensel step: F - GH must vanish mod the modulus")
             E.append(diff // mod % p)
         _pm_trim(E)
         # solve G*dh + H*dg = E mod p with deg dh < deg h, deg dg < deg g
@@ -224,7 +226,8 @@ def _hensel_lift(F: IntPoly, g_bar: tuple[int, ...], p: int, N: int) -> list[int
         dh = _pm_divmod(_pm_mul(s, E, p), h_bar, p)[1]
         num = [(x - y) % p for x, y in _zip_pad(E, _pm_mul(g_bar_cur, dh, p))]
         dg, rem = _pm_divmod(_pm_trim(num), h_bar, p)
-        assert not rem, "Hensel correction must divide exactly"
+        if rem:
+            raise TheoremViolation("Hensel correction must divide exactly")
         for i, c in enumerate(dh):
             if c:
                 H[i] = (H[i] + mod * c) % nxt
@@ -266,6 +269,7 @@ class PadicTower:
     _grows: tuple = field(repr=False, compare=False, default=())
     _erows: tuple = field(repr=False, compare=False, default=())
     _zeta_mat: tuple = field(repr=False, compare=False, default=())
+    _power_columns: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def modulus(self) -> int:
@@ -300,6 +304,21 @@ class PadicTower:
         """The image of zeta_k: the k-th root of unity with zeta_k^(k') = 1+pi
         and zeta_k^(p^a) = x (CRT exponents on the two components)."""
         return PadicElt(self, 0, self._zeta_mat)
+
+    def zeta_power_columns(self, step: int) -> tuple:
+        """The images of xi^0, ..., xi^(phi(k/step) - 1) for xi = zeta_k^step,
+        stored by column: one tuple per matrix entry (row-major), holding that
+        entry of every image.  Built on first use and kept with the tower."""
+        cols = self._power_columns.get(step)
+        if cols is None:
+            xi = self.zeta_image() ** step
+            img = self.one()
+            flats = [[c for row in img.mat for c in row]]
+            for _ in range(euler_phi(self.k // step) - 1):
+                img = img * xi
+                flats.append([c for row in img.mat for c in row])
+            cols = self._power_columns[step] = tuple(zip(*flats))
+        return cols
 
 
 def _reduction_rows(monic: list[int], count: int, modulus: int) -> tuple:
@@ -450,7 +469,14 @@ class PadicElt:
 
 
 def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
-    """The image of z under the fixed embedding; z.order must divide k."""
+    """The image of z under the fixed embedding; z.order must divide k.
+
+    The embedding is Z-linear: with z = (sum_i n_i xi^i) / den on the power
+    basis of xi = zeta_k^(k/z.order), each matrix entry of the image is
+    sum_i n_i img(xi^i) mod p^N, scaled by the inverse of den's p-free part;
+    den's p-part becomes the shift.  The images img(xi^i) come from the
+    tower's cached table (PadicTower.zeta_power_columns).
+    """
     k = tower.k
     if k % z.order:
         raise IncompatibleOrders(f"order {z.order} does not divide tower order {k}")
@@ -466,13 +492,13 @@ def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
         )
     inv_unit = pow(den_unit, -1, pN)
     ints = [int(c * den) for c in z.coords]
-    xi = tower.zeta_image() ** (k // z.order)
-    acc = tower.zero()
-    unit_scale = inv_unit % pN
-    for c in reversed(ints):
-        acc = acc * xi + tower.from_int(c)
-    acc = acc * unit_scale
-    return PadicElt(tower, s, acc.mat)
+    flat = [
+        sum(map(mul, ints, col)) * inv_unit % pN
+        for col in tower.zeta_power_columns(k // z.order)
+    ]
+    f = tower.f_res
+    mat = tuple(tuple(flat[j : j + f]) for j in range(0, len(flat), f))
+    return PadicElt(tower, s, mat)
 
 
 def padic_valuation(elt: PadicElt):
@@ -514,7 +540,8 @@ def padic_residue(elt: PadicElt) -> tuple[int, ...]:
     ps = p**elt.shift
     row0 = elt.mat[0]
     for row in elt.mat:
-        assert all(c % ps == 0 for c in row), "integral element must clear its shift"
+        if any(c % ps for c in row):
+            raise TheoremViolation("integral element must clear its shift")
     return tuple(c // ps % p for c in row0)
 
 
@@ -578,7 +605,8 @@ def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
     fct = list(residue_factor(p, k1))
     for g, _o in unit_group_basis(m_mod).generators:
         m = eval_exponent(chi, g)
-        assert m is not None
+        if m is None:
+            raise TheoremViolation(f"chi has no value at the unit {g} mod {m_mod}")
         lhs = _pm_powmod([0, 1], m * beta % k1, fct, p)
         rhs = [pow(g, t, p)]
         _pm_trim(rhs)

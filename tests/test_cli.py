@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from lzero.cli import main
+from lzero.cli import build_parser, main
 
 
 ENVELOPE_KEYS = {"command", "version", "params", "towers", "records", "summary", "status"}
@@ -146,6 +146,35 @@ def test_imprimitive_lvalue_exit_2(capsys):
     # chi mod 9 with exponents 3 has conductor 3
     code, _, err = run_cli(["lvalue", "-f", "9", "--chi", "3"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lvalue", "-f", "5", "--chi", "1", "-p", "5", "--precision", "1024"],
+    ["star", "-p", "7", "--precision", "600"],
+    ["star", "-p", "7", "--precision", "0"],
+])
+def test_precision_outside_the_ladder_exit_2(argv, capsys):
+    # a starting rung above N_CAP leaves the ladder nothing to run
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--precision" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["prop1", "--fmax", "9", "--pmax", "5", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_clamped_to_cpu_count():
+    # parsing only: no pool is started
+    args = build_parser().parse_args(["prop1", "--fmax", "9", "--pmax", "5", "--jobs", "4096"])
+    assert args.jobs == (os.cpu_count() or 1)
 
 
 def test_even_character_lvalue_reports_zero(capsys):

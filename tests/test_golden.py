@@ -37,9 +37,9 @@ CASES = {
 }
 
 
-def _run(argv):
+def _run(argv, interpreter_flags=()):
     env = {k: v for k, v in os.environ.items() if not k.startswith("LZERO_")}
-    return subprocess.run([sys.executable, "-m", "lzero", *argv],
+    return subprocess.run([sys.executable, *interpreter_flags, "-m", "lzero", *argv],
                           capture_output=True, env=env)
 
 
@@ -49,6 +49,15 @@ def test_stdout_matches_golden(case):
     out = _run(argv)
     assert out.returncode == code, out.stderr.decode()
     assert out.stdout == (GOLDEN / f"{case}.out").read_bytes()
+
+
+def test_stdout_matches_golden_under_optimize():
+    # python -O strips assert statements; the checks of proved facts must
+    # still run, and the output must not change
+    argv, code = CASES["prop1"]
+    out = _run(argv, ["-O"])
+    assert out.returncode == code, out.stderr.decode()
+    assert out.stdout == (GOLDEN / "prop1.out").read_bytes()
 
 
 def test_cache_never_changes_stdout(tmp_path):

@@ -1,6 +1,8 @@
 """The fixed embedding into Qbar_p: towers, valuations, residues, coherence."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,7 +22,7 @@ from lzero import (
     teichmuller,
 )
 from lzero.cyclo import cyclotomic_poly
-from lzero.nt import multiplicative_order
+from lzero.nt import euler_phi, multiplicative_order, valuation
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +162,38 @@ def test_valuation_is_additive_and_ultrametric():
     s = padic_valuation(a + b)
     assert s >= min(va, vb)
     assert padic_valuation(a + a) == va  # v(2x) = v(x) away from 2
+
+
+def _horner_embed(z, tower):
+    """Reference embedding: Horner's rule in the tower's own arithmetic."""
+    p, pN = tower.p, tower.modulus
+    den = lcm(*(c.denominator for c in z.coords))
+    s = valuation(den, p)
+    xi = tower.zeta_image() ** (tower.k // z.order)
+    acc = tower.zero()
+    for c in reversed(z.coords):
+        acc = acc * xi + tower.from_int(int(c * den))
+    acc = acc * pow(den // p**s, -1, pN)
+    return s, acc.mat
+
+
+@pytest.mark.parametrize("p,k", [(5, 4), (5, 6), (13, 52), (5, 20), (3, 36)])
+def test_embedding_matches_horner_reference(p, k):
+    rng = random.Random(p * 1000 + k)
+    tower = build_tower(p, k)
+    orders = [m for m in range(1, k + 1) if k % m == 0]
+    dens = [1, 2, 7, p, 3 * p, p**2, p**3]
+    shifted = 0
+    for trial in range(50):
+        # every other element lives in the full field; the rest in a proper
+        # subfield, which uses the table of zeta_k^step with step > 1
+        order = k if trial % 2 else rng.choice(orders[:-1])
+        z = CycloElt(order, [Fraction(rng.randrange(-99, 100), rng.choice(dens))
+                             for _ in range(euler_phi(order))])
+        got = embed_padic(z, tower)
+        shifted += got.shift > 0
+        assert (got.shift, got.mat) == _horner_embed(z, tower)
+    assert shifted
 
 
 def test_zero_element_valuation_is_above_precision():
