@@ -32,6 +32,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -312,12 +313,11 @@ class PadicTower:
         cols = self._power_columns.get(step)
         if cols is None:
             xi = self.zeta_image() ** step
-            img = self.one()
-            flats = [[c for row in img.mat for c in row]]
+            imgs = [self.one()]
             for _ in range(euler_phi(self.k // step) - 1):
-                img = img * xi
-                flats.append([c for row in img.mat for c in row])
-            cols = self._power_columns[step] = tuple(zip(*flats))
+                imgs.append(imgs[-1] * xi)
+            cols = tuple(zip(*(chain.from_iterable(img.mat) for img in imgs)))
+            self._power_columns[step] = cols
         return cols
 
 
