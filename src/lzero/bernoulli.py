@@ -27,7 +27,7 @@ from lzero.characters import (
     is_trivial,
 )
 from lzero.cyclo import CycloElt, zeta_power_vector, phi_degree
-from lzero.errors import ImprimitiveInput, NonIntegralResult
+from lzero.errors import ImprimitiveInput, NonIntegralResult, TheoremViolation
 from lzero.nt import is_prime, primes_upto
 
 _bernoulli_row: list[Fraction] = [Fraction(1)]
@@ -100,10 +100,11 @@ def l_value_at_zero(chi: DirichletChar) -> LValueRecord:
     b1 = _b1_cache.get(chi.modulus, chi.exponents)
     if b1 is None:
         b1 = _b1_sum(chi)
-        if is_odd(chi):
-            assert not b1.is_zero(), "B_{1,chi} of an odd character cannot vanish"
-        else:
-            assert b1.is_zero(), "B_{1,chi} of an even nontrivial character must vanish"
+        odd = is_odd(chi)
+        if odd and b1.is_zero():
+            raise TheoremViolation("B_{1,chi} of an odd character cannot vanish")
+        if not odd and not b1.is_zero():
+            raise TheoremViolation("B_{1,chi} of an even nontrivial character must vanish")
         _b1_cache.put(chi.modulus, chi.exponents, b1)
     return LValueRecord(chi, b1, -b1)
 
@@ -128,7 +129,8 @@ def minus_class_number(p: int) -> int:
         raise NonIntegralResult(f"h_minus({p}) = {h} is not a positive integer")
     # same identity, folded differently
     alt = Fraction(2 * p) * (val / Fraction(2) ** len(odd_chars))
-    assert alt == h, "the two product forms must agree"
+    if alt != h:
+        raise TheoremViolation("the two product forms must agree")
     return int(h)
 
 
@@ -154,9 +156,8 @@ def irregular_pairs(p_max: int) -> list[tuple[int, int]]:
             for q in range(p_max + 3, k + 2):
                 if is_prime(q) and k % (q - 1) == 0:
                     expected_den *= q
-            assert bk.denominator == expected_den, (
-                f"B_{k} denominator fails the von Staudt-Clausen check"
-            )
+            if bk.denominator != expected_den:
+                raise TheoremViolation(f"B_{k} denominator fails the von Staudt-Clausen check")
             if bk.numerator % p == 0:
                 pairs.append((p, k))
     return pairs

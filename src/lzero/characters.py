@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from lzero.cyclo import CycloElt
-from lzero.errors import NotPrimePower
+from lzero.errors import NotPrimePower, TheoremViolation
 from lzero.nt import crt_pair, factorize, smallest_primitive_root, valuation
 
 
@@ -115,7 +115,8 @@ def _char_data(modulus: int, exponents: tuple[int, ...]):
     # because the value's order o_i/gcd(o_i, e_i) divides k.
     weights = []
     for e, (_, o) in zip(exponents, basis.generators):
-        assert (e * k) % o == 0
+        if (e * k) % o:
+            raise TheoremViolation("each generator's value order must divide the value order")
         weights.append((e * k) // o % k)
     return k, tuple(weights)
 
@@ -147,7 +148,8 @@ def is_odd(chi: DirichletChar) -> bool:
         return False
     m = eval_exponent(chi, f - 1)
     k = chi.value_order
-    assert m in (0, k // 2 if k % 2 == 0 else 0)
+    if m not in (0, k // 2 if k % 2 == 0 else 0):
+        raise TheoremViolation("chi(-1) must be +1 or -1")
     return m != 0
 
 
@@ -210,8 +212,10 @@ def _transport(chi: DirichletChar, new_modulus: int) -> DirichletChar:
     exps = []
     for g, o in basis.generators:
         m = eval_exponent(chi, _coprime_lift(g, new_modulus, chi.modulus))
-        assert m is not None
-        assert (m * o) % k == 0, "value order must divide the generator order"
+        if m is None:
+            raise TheoremViolation(f"chi has no value at the unit {g} mod {new_modulus}")
+        if (m * o) % k:
+            raise TheoremViolation("value order must divide the generator order")
         exps.append((m * o // k) % o)
     return DirichletChar(new_modulus, tuple(exps))
 

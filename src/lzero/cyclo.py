@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from lzero._kernels import poly_mul_reduce
-from lzero.errors import IncompatibleOrders
+from lzero.errors import IncompatibleOrders, TheoremViolation
 from lzero.nt import divisors, euler_phi
 
 
@@ -112,7 +112,8 @@ def cyclotomic_poly(k: int) -> IntPoly:
     num = IntPoly.of(*([-1] + [0] * (k - 1) + [1]))
     for d in divisors(k)[:-1]:
         quo, rem = divmod(num, cyclotomic_poly(d))
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise TheoremViolation(f"Phi_{d} must divide x^{k} - 1 exactly")
         num = quo
     return num
 
@@ -332,7 +333,8 @@ class CycloElt:
             for i, c in enumerate(qu):
                 nu[i] -= c
             u0, u1 = u1, nu
-        assert len(r0) == 1, "gcd with the cyclotomic polynomial must be constant"
+        if len(r0) != 1:
+            raise TheoremViolation("gcd with the cyclotomic polynomial must be constant")
         g = r0[0]
         d = _ctx(k)[0]
         inv = [Fraction(0)] * d
@@ -389,7 +391,8 @@ class CycloElt:
         for conj in self.conjugates():
             prod = prod * conj
         val = prod.rational_value()
-        assert val is not None, "norm must be rational"
+        if val is None:
+            raise TheoremViolation("norm must be rational")
         return val
 
     # ---- comparison ----------------------------------------------------

@@ -66,7 +66,8 @@ ABOVE_PRECISION = _AbovePrecision()
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Z/p (lists, ascending degree, no trailing zeros)
+# dense polynomials over Z/m, m = p or a power of p for Hensel lifting
+# (lists, ascending degree, no trailing zeros)
 
 
 def _pm_trim(a: list[int]) -> list[int]:
@@ -81,13 +82,13 @@ def _pm_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pm_trim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _pm_trim([c % p for c in out])
 
 
 def _pm_divmod(a, b, p):
-    """Quotient and remainder mod p; b monic-ish (leading coeff invertible)."""
+    """Quotient and remainder mod p; b's leading coefficient must be a unit."""
     rem = [x % p for x in a]
     _pm_trim(rem)
     if not b:
@@ -124,12 +125,9 @@ def _pm_xgcd(a, b, p):
     _pm_trim(r1)
     while r1:
         q, r = _pm_divmod(r0, r1, p)
-        qs = _pm_mul(q, s1, p)
-        qt = _pm_mul(q, t1, p)
-        ns = [(x - y) % p for x, y in _zip_pad(s0, qs)]
-        nt = [(x - y) % p for x, y in _zip_pad(t0, qt)]
-        r0, s0, t0 = r1, s1, t1
-        r1, s1, t1 = _pm_trim(r), _pm_trim(ns), _pm_trim(nt)
+        s2 = _pm_sub(s0, _pm_mul(q, s1, p), p)
+        t2 = _pm_sub(t0, _pm_mul(q, t1, p), p)
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s2, t2
     inv = pow(r0[-1], -1, p)
     return (
         [x * inv % p for x in r0],
@@ -141,6 +139,14 @@ def _pm_xgcd(a, b, p):
 def _zip_pad(a, b):
     n = max(len(a), len(b))
     return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+
+
+def _pm_sub(a, b, m):
+    return _pm_trim([(x - y) % m for x, y in _zip_pad(a, b)])
+
+
+def _pm_add(a, b, m):
+    return _pm_trim([(x + y) % m for x, y in _zip_pad(a, b)])
 
 
 def _pm_powmod(base, exp, mod, p):
@@ -196,50 +202,45 @@ def residue_factor(p: int, k1: int) -> tuple[int, ...]:
 
 
 def _hensel_lift(F: IntPoly, g_bar: tuple[int, ...], p: int, N: int) -> list[int]:
-    """Lift the factor g_bar of F mod p to a monic divisor of F mod p^N."""
+    """Lift the factor g_bar of F mod p to a monic divisor of F mod p^N.
+
+    Quadratic (Newton) lifting, von zur Gathen & Gerhard, Modern Computer
+    Algebra, Alg. 15.10: the monic factor G, its cofactor H and a Bezout
+    pair with s H + t G = 1 are lifted together, doubling the precision at
+    each step through p^ceil(N/2^j), ..., p^N, so the last step lands on p^N
+    exactly.  That is ceil(log2 N) steps.  The monic lift of g_bar is unique
+    (g_bar and F/g_bar are coprime mod p), so it does not depend on the
+    route taken to p^N.
+    """
     g = [c % p for c in g_bar]
     if len(g) - 1 == F.degree:
         return [c % p**N for c in F.coeffs]
-    h = _pm_divmod([c % p for c in F.coeffs], g, p)[0]
-    s, t = _pm_xgcd(g, h, p)[1:]
-    G = list(g)
-    H = list(h)
     Fc = list(F.coeffs)
-    mod = p
-    for _ in range(N - 1):
-        nxt = mod * p
-        # E = (F - G H) / mod, reduced mod p
-        GH = [0] * (len(G) + len(H) - 1)
-        for i, x in enumerate(G):
-            if x:
-                for j, y in enumerate(H):
-                    GH[i + j] += x * y
-        E = []
-        for i in range(len(Fc)):
-            diff = (Fc[i] - (GH[i] if i < len(GH) else 0)) % nxt
-            if diff % mod:
-                raise TheoremViolation("Hensel step: F - GH must vanish mod the modulus")
-            E.append(diff // mod % p)
-        _pm_trim(E)
-        # solve G*dh + H*dg = E mod p with deg dh < deg h, deg dg < deg g
-        h_bar = [c % p for c in H]
-        g_bar_cur = [c % p for c in G]
-        dh = _pm_divmod(_pm_mul(s, E, p), h_bar, p)[1]
-        num = [(x - y) % p for x, y in _zip_pad(E, _pm_mul(g_bar_cur, dh, p))]
-        dg, rem = _pm_divmod(_pm_trim(num), h_bar, p)
-        if rem:
-            raise TheoremViolation("Hensel correction must divide exactly")
-        for i, c in enumerate(dh):
-            if c:
-                H[i] = (H[i] + mod * c) % nxt
-        for i, c in enumerate(dg):
-            if c:
-                G[i] = (G[i] + mod * c) % nxt
-        G = [c % nxt for c in G]
-        H = [c % nxt for c in H]
-        mod = nxt
+    G = g
+    H = _pm_divmod([c % p for c in Fc], g, p)[0]
+    s, t = _pm_xgcd(H, G, p)[1:]
+    steps = [N]
+    while steps[-1] > 1:
+        steps.append((steps[-1] + 1) // 2)
+    steps.reverse()
+    for n, nxt in zip(steps, steps[1:]):
+        m, prev = p**nxt, p**n
+        e = _pm_sub(Fc, _pm_mul(G, H, m), m)
+        if any(c % prev for c in e):
+            raise TheoremViolation("Hensel step: F - GH must vanish mod the modulus")
+        # MCA 15.10 with G as the monic factor whose degree is kept
+        q, r = _pm_divmod(_pm_mul(s, e, m), G, m)
+        H = _pm_add(H, _pm_add(_pm_mul(t, e, m), _pm_mul(q, H, m), m), m)
+        G = _pm_add(G, r, m)
+        if nxt < N:
+            b = _pm_sub(_pm_add(_pm_mul(s, H, m), _pm_mul(t, G, m), m), [1], m)
+            c, d = _pm_divmod(_pm_mul(s, b, m), G, m)
+            s = _pm_sub(s, d, m)
+            t = _pm_sub(t, _pm_add(_pm_mul(t, b, m), _pm_mul(c, H, m), m), m)
     pN = p**N
-    return [c % pN for c in G]
+    if _pm_sub(Fc, _pm_mul(G, H, pN), pN):
+        raise TheoremViolation("Hensel lift: F must equal GH mod p^N")
+    return G
 
 
 def _eisenstein_poly(p: int, a: int) -> IntPoly:
@@ -565,7 +566,7 @@ def cyclo_valuation(z: CycloElt, p: int, n_start: int = N_START):
 
     Runs the precision ladder N = n_start, 2 n_start, ... up to N_CAP and
     raises PrecisionExhausted if the ladder ends without a decision.
-    Returns (valuation, tower used).
+    Returns (valuation, tower used, image of z in that tower).
     """
     if z.is_zero():
         raise ZeroDivisionError("the valuation of 0 is +infinity")
@@ -573,12 +574,13 @@ def cyclo_valuation(z: CycloElt, p: int, n_start: int = N_START):
     while n <= N_CAP:
         tower = build_tower(p, z.order, n)
         try:
-            v = padic_valuation(embed_padic(z, tower))
+            image = embed_padic(z, tower)
         except PrecisionExhausted:
             n *= 2
             continue
+        v = padic_valuation(image)
         if v is not ABOVE_PRECISION:
-            return v, tower
+            return v, tower, image
         n *= 2
     raise PrecisionExhausted(
         f"valuation undecided at the precision cap N={N_CAP} (p={p}, k={z.order})"

@@ -36,6 +36,7 @@ from .errors import (
     CongruenceViolation,
     IntegralityViolation,
     NoOrderPCharacter,
+    TheoremViolation,
 )
 from .nt import divisors, euler_phi, factorize, is_prime, primes_upto, valuation
 from .padic import (
@@ -43,7 +44,6 @@ from .padic import (
     build_tower,
     char_is_omega_power_mod_p,
     cyclo_valuation,
-    embed_padic,
     padic_residue,
     teichmuller,
 )
@@ -107,7 +107,7 @@ def integrality_verdict(chi: DirichletChar, p: int, n_start: int = N_START) -> V
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     lv = l_value_at_zero(chi).l_at_zero
-    val, tower = cyclo_valuation(lv, p, n_start)
+    val, tower, _image = cyclo_valuation(lv, p, n_start)
     f = chi.modulus
     is_ppow = f > 1 and f == p ** valuation(f, p)
     om_inv = char_is_omega_power_mod_p(chi, p, -1)
@@ -285,10 +285,12 @@ def kummer_check(p: int) -> list[CongruenceRow]:
         if (n + 1) % (p - 1) == 0:
             continue
         s = sum(a * pow(lifts[a], n, p2) for a in range(1, p)) % p2
-        assert s % p == 0, "p * B_{1, omega^n} must vanish mod p for admissible n"
+        if s % p:
+            raise CongruenceViolation("p * B_{1, omega^n} must vanish mod p for admissible n")
         lhs = (s // p) % p
         rhs_q = bernoulli_number(n + 1) / (n + 1)
-        assert rhs_q.denominator % p != 0, "B_{n+1}/(n+1) must be p-integral"
+        if rhs_q.denominator % p == 0:
+            raise TheoremViolation("B_{n+1}/(n+1) must be p-integral")
         rhs = rhs_q.numerator * pow(rhs_q.denominator, -1, p) % p
         equal = lhs == rhs
         rows.append(CongruenceRow(p, n, lhs, rhs, equal))
@@ -344,7 +346,7 @@ def pole_depth_check(p: int, r_max: int, n_start: int = N_START) -> list[PoleDep
             )
         want_v = expected_pole_depth(p, r)
         for chi in members:
-            got, _tower = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)
+            got = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)[0]
             equal = got == want_v
             rows.append(PoleDepthRow(chi.modulus, chi.exponents, p, want_v, got, equal))
             if not equal:
@@ -377,7 +379,7 @@ def odd_product_identity_check(p: int, n_start: int = N_START) -> ProductIdentit
     factors = []
     poles = []
     for chi in enumerate_characters(p, primitive_only=True, parity="odd"):
-        v, _tower = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)
+        v = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)[0]
         factors.append((chi.exponents, v))
         if v < 0:
             poles.append((chi, v))
@@ -420,8 +422,8 @@ def _truncated_residue(
             lv = lv * (CycloElt.one() - char_eval(chi, ell))
     if lv.is_zero():
         return (0,) * build_tower(p, chi.value_order, n_start).f_res
-    _v, tower = cyclo_valuation(lv, p, n_start)
-    return padic_residue(embed_padic(lv, tower))
+    image = cyclo_valuation(lv, p, n_start)[2]
+    return padic_residue(image)
 
 
 def straightened_character(chi: DirichletChar, p: int) -> DirichletChar:
@@ -554,9 +556,11 @@ def twisted_pair_witness(p: int, q: int, n_start: int = N_START) -> tuple[Verdic
         raise NoOrderPCharacter(f"(Z/{q})^* has no character of order {p}")
     untwisted = integrality_verdict(omega_inverse_char(p), p, n_start)
     chi2 = DirichletChar(q, ((q - 1) // p,))
-    assert chi2.value_order == p and not is_odd(chi2)
+    if chi2.value_order != p or is_odd(chi2):
+        raise TheoremViolation(f"chi2 mod {q} must be even of order {p}")
     chi = primitivize(mul_chars(omega_inverse_char(p), chi2))
-    assert chi.modulus == p * q, "the twist must have conductor pq"
+    if chi.modulus != p * q:
+        raise TheoremViolation("the twist must have conductor pq")
     twisted = integrality_verdict(chi, p, n_start)
     if untwisted.valuation != -1:
         raise ClassificationViolation(

@@ -12,6 +12,7 @@ from lzero import (
     DirichletChar,
     N_CAP,
     PrecisionExhausted,
+    TheoremViolation,
     build_tower,
     char_is_omega_power_mod_p,
     cyclo_valuation,
@@ -21,7 +22,9 @@ from lzero import (
     residue_factor,
     teichmuller,
 )
+from lzero import padic
 from lzero.cyclo import cyclotomic_poly
+from lzero.padic import _hensel_lift, _pm_divmod, _pm_mul, _pm_xgcd
 from lzero.nt import euler_phi, multiplicative_order, valuation
 
 
@@ -97,20 +100,99 @@ def test_tower_invariants(p, k, e, f):
         assert z ** d != t.one()
 
 
-def test_hensel_factor_congruent_mod_p():
-    t = build_tower(5, 20, 32)
-    assert [c % 5 for c in t.lifted_factor] == [c % 5 for c in residue_factor(5, 4)]
-    # and it still divides Phi_{k'} to the working precision
-    mod = 5**32
-    phi = [c % mod for c in cyclotomic_poly(4).coeffs]
-    rem = list(phi)
-    d = len(t.lifted_factor) - 1
+def _remainder(poly, monic, mod):
+    """poly mod (monic, mod) by long division, written out independently."""
+    rem = [c % mod for c in poly]
+    d = len(monic) - 1
     while len(rem) > d:
         top = rem.pop()
         if top:
             for i in range(d):
-                rem[-d + i] = (rem[-d + i] - top * t.lifted_factor[i]) % mod
+                rem[-d + i] = (rem[-d + i] - top * monic[i]) % mod
+    return rem
+
+
+def test_hensel_factor_congruent_mod_p():
+    t = build_tower(5, 20, 32)
+    assert [c % 5 for c in t.lifted_factor] == [c % 5 for c in residue_factor(5, 4)]
+    # and it still divides Phi_{k'} to the working precision
+    rem = _remainder(cyclotomic_poly(4).coeffs, t.lifted_factor, 5**32)
     assert all(c == 0 for c in rem)
+
+
+def _linear_hensel_reference(F, g_bar, p, N):
+    """Lift g_bar | F mod p to p^N by N - 1 linear Hensel steps, one power
+    of p at a time; each step solves G dh + H dg = (F - GH)/p^n mod p."""
+    g = [c % p for c in g_bar]
+    if len(g) - 1 == F.degree:
+        return [c % p**N for c in F.coeffs]
+    h = _pm_divmod([c % p for c in F.coeffs], g, p)[0]
+    s = _pm_xgcd(g, h, p)[1]  # s g = 1 mod (h, p)
+    G, H = list(g), list(h)
+    for n in range(1, N):
+        mod, nxt = p**n, p ** (n + 1)
+        GH = [0] * len(F.coeffs)
+        for i, x in enumerate(G):
+            for j, y in enumerate(H):
+                GH[i + j] += x * y
+        diff = [(f - gh) % nxt for f, gh in zip(F.coeffs, GH)]
+        assert all(c % mod == 0 for c in diff)
+        E = [c // mod for c in diff]
+        dh = _pm_divmod(_pm_mul(s, E, p), h, p)[1]
+        gdh = _pm_mul(g, dh, p) + [0] * len(E)
+        dg, rem = _pm_divmod([(x - y) % p for x, y in zip(E, gdh)], h, p)
+        assert not rem
+        H = [(c + mod * d) % nxt for c, d in zip(H, dh + [0] * len(H))]
+        G = [(c + mod * d) % nxt for c, d in zip(G, dg + [0] * len(G))]
+    return G
+
+
+HENSEL_PRECISIONS = (1, 2, 3, 16, 17, 128)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 149])
+def test_newton_lift_matches_linear_reference(p):
+    degenerate = []
+    for k1 in range(1, 45):
+        if k1 % p == 0:
+            continue
+        phi = cyclotomic_poly(k1)
+        g = residue_factor(p, k1)
+        if len(g) - 1 == phi.degree:
+            degenerate.append(k1)
+        for N in HENSEL_PRECISIONS:
+            G = _hensel_lift(phi, g, p, N)
+            assert G == _linear_hensel_reference(phi, g, p, N), (k1, N)
+            assert len(G) == len(g) and G[-1] == 1
+            assert [c % p for c in G] == [c % p for c in g]
+            assert all(c == 0 for c in _remainder(phi.coeffs, G, p**N))
+    # p generates (Z/k')^* for some k' > 1, where the factor is Phi_{k'} itself
+    assert [k1 for k1 in degenerate if k1 > 1]
+
+
+@pytest.mark.parametrize("N", HENSEL_PRECISIONS)
+def test_newton_lift_doubles_precision_per_step(N, monkeypatch):
+    moduli = set()
+
+    def recording_mul(a, b, m):
+        moduli.add(m)
+        return _pm_mul(a, b, m)
+
+    monkeypatch.setattr(padic, "_pm_mul", recording_mul)
+    p, k1 = 7, 43  # a degree-6 factor of Phi_43 mod 7
+    _hensel_lift(cyclotomic_poly(k1), residue_factor(p, k1), p, N)
+    lifted = sorted(valuation(m, p) for m in moduli if m > p)
+    assert len(lifted) == (N - 1).bit_length()  # ceil(log2 N) steps
+    assert lifted[-1:] == ([N] if N > 1 else [])
+    for n, nxt in zip([1] + lifted, lifted):
+        assert n < nxt <= 2 * n
+
+
+@pytest.mark.parametrize("N", [1, 2, 16])
+def test_hensel_lift_rejects_a_non_factor(N):
+    # x + 1 does not divide x^2 + 1 mod 5
+    with pytest.raises(TheoremViolation):
+        _hensel_lift(cyclotomic_poly(4), (1, 1), 5, N)
 
 
 def test_lifted_root_at_5_4():
@@ -206,9 +288,11 @@ def test_zero_element_valuation_is_above_precision():
 
 
 def test_ladder_escalates_for_deep_values():
-    val, tower = cyclo_valuation(CycloElt.rational(5**20), 5, n_start=16)
+    z = CycloElt.rational(5**20)
+    val, tower, image = cyclo_valuation(z, 5, n_start=16)
     assert val == 20
     assert tower.precision == 32
+    assert image == embed_padic(z, tower)
 
 
 def test_ladder_gives_up_past_the_cap():

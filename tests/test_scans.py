@@ -30,6 +30,7 @@ from lzero import (
     straightened_character,
     twisted_pair_witness,
 )
+from lzero import padic, scans
 from lzero.nt import euler_phi
 from lzero.scans import expected_pole_depth
 
@@ -344,6 +345,27 @@ def test_congruence_scan_quad3_pair_present():
     assert hits, "the conductor 3 / 33 congruent pair should be compared"
     assert all(pr.equal for pr in hits)
     assert all(pr.residue1 == pr.residue2 for pr in hits)
+
+
+def test_congruence_scan_embeds_each_value_once(monkeypatch):
+    # every embed reads the tower's power table once; the residue of a
+    # value must reuse the image its valuation was judged on
+    calls = {"embeds": 0, "values": 0}
+    table, ladder = padic.PadicTower.zeta_power_columns, scans.cyclo_valuation
+
+    def counting_table(tower, step):
+        calls["embeds"] += 1
+        return table(tower, step)
+
+    def counting_ladder(*args, **kwargs):
+        calls["values"] += 1
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(padic.PadicTower, "zeta_power_columns", counting_table)
+    monkeypatch.setattr(scans, "cyclo_valuation", counting_ladder)
+    rep = residue_congruence_scan(33, 5)
+    assert calls["values"] == 2 * len(rep.pairs) > 0
+    assert calls["embeds"] == calls["values"]
 
 
 def test_congruence_scan_excludes_omega_inverse_class():
