@@ -20,7 +20,10 @@ irreducible factor as x^d - (b_{d-1} x^{d-1} + ... + b_0) with 0 <= b_i < p
 and take the factor with the lexicographically least (b_0, ..., b_{d-1}).
 For split k' this picks the smallest root; e.g. for p = 5, k' = 4 the roots
 of x^2 + 1 are {2, 3} and the rule sends zeta_4 to 2.  Any fixed rule would
-do, but verdicts for individual characters depend on this one.
+do, but verdicts for individual characters depend on this one.  The factors
+come from seeded Cantor-Zassenhaus splitting, which takes its powers on
+Kronecker-packed integers modulo x^k' - 1 (_CyclicRing) and reduces them
+mod the polynomial being split; the factor chosen does not depend on this.
 
 The image of zeta_k is normalised by CRT: zeta_k^(k') = 1 + pi and
 zeta_k^(p^a) = x.  This makes the place restrict to the place of the tame
@@ -149,19 +152,65 @@ def _pm_add(a, b, m):
     return _pm_trim([(x + y) % m for x, y in _zip_pad(a, b)])
 
 
-def _pm_powmod(base, exp, mod, p):
-    result = [1]
-    base = _pm_divmod(base, mod, p)[1]
-    while exp:
-        if exp & 1:
-            result = _pm_divmod(_pm_mul(result, base, p), mod, p)[1]
-        base = _pm_divmod(_pm_mul(base, base, p), mod, p)[1]
-        exp >>= 1
-    return result
+class _CyclicRing:
+    """F_p[x]/(x^k - 1) on Kronecker-packed integers (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 8.4).
+
+    An element is one int holding k slots of `width` bits, slot i being the
+    coefficient of x^i in [0, p).  A product is one int multiply; the wrap
+    x^(k+i) -> x^i is one mask, one shift and one add; then every slot is
+    reduced mod p at once by a Barrett step: multiply by m = ceil(2^t / p),
+    shift right by t, mask every slot and subtract p times that quotient.
+
+    A wrapped product of reduced elements has slots v <= bound = k (p-1)^2.
+    With 2^t > bound p the Barrett quotient floor(v m / 2^t) is exactly
+    floor(v / p), so every product is back in [0, p); the slot width holds
+    v m, so no slot overflows into the next.
+    """
+
+    def __init__(self, k: int, p: int):
+        bound = k * (p - 1) ** 2
+        self.k, self.p = k, p
+        self.t = (bound * p).bit_length()
+        self.m = -(-(1 << self.t) // p)
+        self.width = w = (bound * self.m).bit_length()
+        self.low = (1 << (k * w)) - 1
+        ones = self.low // ((1 << w) - 1)  # a 1 in every slot
+        self.quotient_mask = ones * ((1 << (w - self.t)) - 1)
+
+    def pack(self, a: list[int]) -> int:
+        w = self.width
+        return sum(c << (w * i) for i, c in enumerate(a))
+
+    def unpack(self, z: int) -> list[int]:
+        w = self.width
+        mask = (1 << w) - 1
+        return _pm_trim([z >> (w * i) & mask for i in range(self.k)])
+
+    def mul(self, a: int, b: int) -> int:
+        z = a * b
+        z = (z & self.low) + (z >> (self.k * self.width))
+        q = (z * self.m >> self.t) & self.quotient_mask
+        return z - q * self.p
+
+    def pow(self, a: int, e: int) -> int:
+        result = 1
+        for bit in bin(e)[2:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
 
 
-def _equal_degree_split(h: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Factor a squarefree product of degree-d irreducibles mod p (p odd)."""
+def _equal_degree_split(
+    h: list[int], d: int, ring: _CyclicRing, rng: random.Random
+) -> list[list[int]]:
+    """Factor a squarefree product of degree-d irreducibles mod p (p odd).
+
+    h divides x^k - 1 (k = ring.k), so r^((p^d - 1)/2) mod h is the power
+    taken in the packed ring F_p[x]/(x^k - 1), reduced mod h once.
+    """
+    p = ring.p
     deg = len(h) - 1
     if deg == d:
         return [h]
@@ -171,8 +220,7 @@ def _equal_degree_split(h: list[int], d: int, p: int, rng: random.Random) -> lis
         _pm_trim(r)
         if len(r) < 2:
             continue
-        s = _pm_powmod(r, half, h, p)
-        s = s[:]
+        s = _pm_divmod(ring.unpack(ring.pow(ring.pack(r), half)), h, p)[1]
         if s:
             s[0] = (s[0] - 1) % p
         else:
@@ -180,7 +228,9 @@ def _equal_degree_split(h: list[int], d: int, p: int, rng: random.Random) -> lis
         g = _pm_gcd(h, s, p)
         if 0 < len(g) - 1 < deg:
             other = _pm_divmod(h, g, p)[0]
-            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(other, d, p, rng)
+            return _equal_degree_split(g, d, ring, rng) + _equal_degree_split(
+                other, d, ring, rng
+            )
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,7 +243,7 @@ def residue_factor(p: int, k1: int) -> tuple[int, ...]:
     phi = [c % p for c in cyclotomic_poly(k1).coeffs]
     d = multiplicative_order(p, k1) if k1 > 1 else 1
     rng = random.Random(_FACTOR_SEED ^ (p << 20) ^ k1)
-    factors = _equal_degree_split(phi, d, p, rng)
+    factors = _equal_degree_split(phi, d, _CyclicRing(k1, p), rng)
 
     def rule(g: list[int]) -> tuple[int, ...]:
         return tuple((-c) % p for c in g[:-1])
@@ -609,9 +659,8 @@ def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
         m = eval_exponent(chi, g)
         if m is None:
             raise TheoremViolation(f"chi has no value at the unit {g} mod {m_mod}")
-        lhs = _pm_powmod([0, 1], m * beta % k1, fct, p)
-        rhs = [pow(g, t, p)]
-        _pm_trim(rhs)
-        if _pm_trim(lhs[:]) != rhs:
+        lhs = _pm_divmod([0] * (m * beta % k1) + [1], fct, p)[1]
+        rhs = _pm_trim([pow(g, t, p)])
+        if lhs != rhs:
             return False
     return True

@@ -51,13 +51,14 @@ def test_stdout_matches_golden(case):
     assert out.stdout == (GOLDEN / f"{case}.out").read_bytes()
 
 
-def test_stdout_matches_golden_under_optimize():
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden_under_optimize(case):
     # python -O strips assert statements; the checks of proved facts must
     # still run, and the output must not change
-    argv, code = CASES["prop1"]
+    argv, code = CASES[case]
     out = _run(argv, ["-O"])
     assert out.returncode == code, out.stderr.decode()
-    assert out.stdout == (GOLDEN / "prop1.out").read_bytes()
+    assert out.stdout == (GOLDEN / f"{case}.out").read_bytes()
 
 
 def test_cache_never_changes_stdout(tmp_path):
