@@ -33,6 +33,8 @@ CASES = {
     "remark2": (["remark2", "-p", "3", "--rmax", "3"], 0),
     "star": (["star", "-p", "37"], 0),
     "congruence": (["congruence", "--fmax", "40", "-p", "7"], 0),
+    # reaches the Euler-factor branch of the residue scan (1 - chi(l))
+    "congruence_euler": (["congruence", "--fmax", "30", "-p", "3"], 0),
     "corollary1": (["corollary1", "-p", "5", "-q", "11"], 0),
 }
 
