@@ -85,7 +85,7 @@ def _b1_sum(chi: DirichletChar) -> CycloElt:
             for i in range(d):
                 if row[i]:
                     vec[i] += total * row[i]
-    return CycloElt(k, [Fraction(v, f) for v in vec])
+    return CycloElt(k, vec, f)
 
 
 def l_value_at_zero(chi: DirichletChar) -> LValueRecord:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from lzero.cyclo import CycloElt
-from lzero.errors import NotPrimePower, TheoremViolation
+from lzero.errors import TheoremViolation
 from lzero.nt import crt_pair, factorize, smallest_primitive_root, valuation
 
 
@@ -96,9 +96,6 @@ class DirichletChar:
     @property
     def value_order(self) -> int:
         return _char_data(self.modulus, self.exponents)[0]
-
-    def __call__(self, a: int) -> CycloElt:
-        return char_eval(self, a)
 
     def key(self) -> tuple[int, tuple[int, ...]]:
         return (self.modulus, self.exponents)
@@ -283,25 +280,3 @@ def primitive_odd_characters(f_max: int) -> list[DirichletChar]:
     for f in range(3, f_max + 1):
         out.extend(enumerate_characters(f, primitive_only=True, parity="odd"))
     return out
-
-
-def tame_wild_decomposition(chi: DirichletChar, p: int) -> tuple[DirichletChar, DirichletChar]:
-    """Split chi mod p^n as (tame chi1 mod p, wild chi2 mod p^n).
-
-    chi1 has order dividing p - 1, chi2 has p-power order, and chi is the
-    product of chi2 with the lift of chi1.
-    """
-    fac = factorize(chi.modulus)
-    if list(fac.keys()) != [p] or p == 2:
-        raise NotPrimePower(f"modulus {chi.modulus} is not a power of the odd prime {p}")
-    n = fac[p]
-    s = (p - 1) * p ** (n - 1)  # group order
-    (e,) = chi.exponents
-    if n == 1:
-        return chi, DirichletChar(chi.modulus, (0,))
-    p_part = p ** (n - 1)
-    proj_tame = p_part * pow(p_part, -1, p - 1) % s
-    tame_full = DirichletChar(chi.modulus, (e * proj_tame % s,))
-    wild = DirichletChar(chi.modulus, ((e - e * proj_tame) % s,))
-    tame = _transport(tame_full, p)
-    return tame, wild

@@ -31,7 +31,6 @@ from .errors import (
     ImprimitiveInput,
     NonIntegralResult,
     NoOrderPCharacter,
-    NotPrimePower,
     PrecisionExhausted,
     TheoremViolation,
 )
@@ -50,8 +49,7 @@ from .scans import (
     twisted_pair_witness,
 )
 
-_INPUT_ERRORS = (ImprimitiveInput, IncompatibleOrders, NoOrderPCharacter, NotPrimePower,
-                 ValueError)
+_INPUT_ERRORS = (ImprimitiveInput, IncompatibleOrders, NoOrderPCharacter, ValueError)
 
 
 def _jsonable(obj):

@@ -1,10 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_k).
 
-Elements are stored on the power basis 1, zeta_k, ..., zeta_k^(phi(k)-1)
-with Fraction coordinates, always reduced mod the k-th cyclotomic
-polynomial.  Denominators live inside the coordinates; an element is an
-algebraic integer exactly when every coordinate is an integer (the power
-basis generates the full ring of integers Z[zeta_k]).
+Elements are stored on the power basis 1, zeta_k, ..., zeta_k^(phi(k)-1),
+always reduced mod the k-th cyclotomic polynomial, as integer numerators
+over one positive denominator in lowest terms.  The power basis generates
+the full ring of integers Z[zeta_k], so an element is an algebraic integer
+exactly when its denominator is 1.
 
 Mixed-order arithmetic merges both operands into Q(zeta_lcm) via the
 compatible system zeta_d = zeta_K^(K/d) for d | K.
@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from lzero._kernels import poly_mul_reduce
 from lzero.errors import IncompatibleOrders, TheoremViolation
-from lzero.nt import divisors, euler_phi
+from lzero.nt import divisors
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,6 @@ class IntPoly:
             out[i] += c
         return IntPoly.of(*out)
 
-    def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        return self + (-other)
-
     def __mul__(self, other: IntPoly) -> IntPoly:
         if self.is_zero() or other.is_zero():
             return IntPoly(())
@@ -92,12 +86,6 @@ class IntPoly:
                 for j, c in enumerate(other.coeffs):
                     rem[i + j] -= q * c
         return IntPoly.of(*quo), IntPoly.of(*rem)
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,39 +132,28 @@ def _ctx(k: int):
     return d, tuple(pows), mulrows
 
 
-def _qdivmod(a: list[Fraction], b: list[Fraction]):
-    """Divmod for dense Fraction polynomials (lists, no trailing zeros)."""
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(rem) >= len(b) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        q = rem[-1] * inv
-        shift = len(rem) - len(b)
-        quo[shift] = q
-        for i, c in enumerate(b):
-            rem[shift + i] -= q * c
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
-
-
 class CycloElt:
-    """An element of Q(zeta_k) in reduced power-basis coordinates."""
+    """An element of Q(zeta_k): integer power-basis numerators over one
+    positive denominator, kept in lowest terms (gcd(nums..., den) = 1)."""
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coords):
+    def __init__(self, order: int, nums, den: int = 1):
         d = _ctx(order)[0]
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != d:
+        nums = tuple(nums)
+        if len(nums) != d:
             raise ValueError(f"need {d} coordinates for order {order}")
+        if den == 0:
+            raise ZeroDivisionError("denominator 0")
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloElt is immutable")
@@ -189,13 +166,14 @@ class CycloElt:
 
     @staticmethod
     def one(order: int = 1) -> CycloElt:
-        return CycloElt.rational(1, order)
+        return CycloElt.zeta(order, 0)
 
     @staticmethod
     def rational(q, order: int = 1) -> CycloElt:
-        coords = [Fraction(0)] * _ctx(order)[0]
-        coords[0] = Fraction(q)
-        return CycloElt(order, coords)
+        q = Fraction(q)
+        nums = [0] * _ctx(order)[0]
+        nums[0] = q.numerator
+        return CycloElt(order, nums, q.denominator)
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> CycloElt:
@@ -205,31 +183,59 @@ class CycloElt:
 
     @classmethod
     def from_strings(cls, order: int, coords: list[str]) -> CycloElt:
-        return cls(order, [Fraction(s) for s in coords])
+        """Parse "n/d" coordinates (d > 0), as coord_strings writes them."""
+        pairs = []
+        for s in coords:
+            n, d = map(int, s.split("/"))
+            if d <= 0:
+                raise ValueError(f"bad coordinate {s!r}")
+            pairs.append((n, d))
+        den = lcm(*(d for _, d in pairs))
+        return cls(order, [n * (den // d) for n, d in pairs], den)
 
     # ---- serialization ------------------------------------------------
 
+    def _reduced(self):
+        """(numerator, denominator) of each coordinate in lowest terms."""
+        den = self.den
+        for n in self.nums:
+            g = gcd(n, den)
+            yield n // g, den // g
+
     def coord_strings(self) -> list[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self.coords]
+        return [f"{n}/{d}" for n, d in self._reduced()]
 
     def __repr__(self):
-        return f"CycloElt(k={self.order}, [{', '.join(map(str, self.coords))}])"
+        coords = ", ".join(f"{n}/{d}" if d != 1 else str(n) for n, d in self._reduced())
+        return f"CycloElt(k={self.order}, [{coords}])"
 
     # ---- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_algebraic_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def rational_value(self) -> Fraction | None:
         """The value as a Fraction if the element is rational, else None."""
-        if any(self.coords[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     # ---- order handling -----------------------------------------------
+
+    def _map_basis(self, order: int, step: int) -> CycloElt:
+        """Image in Q(zeta_order) under zeta_k -> zeta_order^step."""
+        d, pows, _ = _ctx(order)
+        acc = [0] * d
+        for i, c in enumerate(self.nums):
+            if c:
+                row = pows[(i * step) % order]
+                for t in range(d):
+                    if row[t]:
+                        acc[t] += c * row[t]
+        return CycloElt(order, acc, self.den)
 
     def embed_into(self, big_order: int) -> CycloElt:
         """Image in Q(zeta_K) under zeta_k = zeta_K^(K/k); needs k | K."""
@@ -238,16 +244,7 @@ class CycloElt:
             raise IncompatibleOrders(f"order {k} does not divide {big_order}")
         if big_order == k:
             return self
-        dK, powsK, _ = _ctx(big_order)
-        step = big_order // k
-        acc = [Fraction(0)] * dK
-        for i, c in enumerate(self.coords):
-            if c:
-                row = powsK[(i * step) % big_order]
-                for t in range(dK):
-                    if row[t]:
-                        acc[t] += c * row[t]
-        return CycloElt(big_order, acc)
+        return self._map_basis(big_order, big_order // k)
 
     @staticmethod
     def _merge(a: CycloElt, b: CycloElt):
@@ -271,12 +268,14 @@ class CycloElt:
         if other is None:
             return NotImplemented
         a, b = CycloElt._merge(self, other)
-        return CycloElt(a.order, [x + y for x, y in zip(a.coords, b.coords)])
+        den = lcm(a.den, b.den)
+        ma, mb = den // a.den, den // b.den
+        return CycloElt(a.order, [x * ma + y * mb for x, y in zip(a.nums, b.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElt(self.order, [-c for c in self.coords])
+        return CycloElt(self.order, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         other = CycloElt._coerce(other)
@@ -284,76 +283,26 @@ class CycloElt:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloElt(self.order, [c * other for c in self.coords])
+            q = Fraction(other)
+            return CycloElt(self.order, [c * q.numerator for c in self.nums],
+                            self.den * q.denominator)
         if not isinstance(other, CycloElt):
             return NotImplemented
         a, b = CycloElt._merge(self, other)
         d, _, mulrows = _ctx(a.order)
         if d == 1:
-            return CycloElt(a.order, [a.coords[0] * b.coords[0]])
-        da = lcm(*(c.denominator for c in a.coords))
-        db = lcm(*(c.denominator for c in b.coords))
-        ia = [int(c * da) for c in a.coords]
-        ib = [int(c * db) for c in b.coords]
-        prod = poly_mul_reduce(ia, ib, mulrows)
-        den = da * db
-        return CycloElt(a.order, [Fraction(x, den) for x in prod])
+            prod = [a.nums[0] * b.nums[0]]
+        else:
+            prod = poly_mul_reduce(a.nums, b.nums, mulrows)
+        return CycloElt(a.order, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> CycloElt:
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        k = self.order
-        phi = [Fraction(c) for c in cyclotomic_poly(k).coeffs]
-        # xgcd(a, phi): track u with u*a = r (mod phi)
-        r0, r1 = [Fraction(c) for c in self.coords], phi
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        u0: list[Fraction] = [Fraction(1)]
-        u1: list[Fraction] = []
-        while any(r1):
-            q, rem = _qdivmod(r0, r1)
-            r0, r1 = r1, rem
-            # u_new = u0 - q*u1
-            qu = [Fraction(0)] * (len(q) + len(u1) - 1 if q and u1 else 0)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, uj in enumerate(u1):
-                        qu[i + j] += qi * uj
-            nu = list(u0)
-            if len(nu) < len(qu):
-                nu += [Fraction(0)] * (len(qu) - len(nu))
-            for i, c in enumerate(qu):
-                nu[i] -= c
-            u0, u1 = u1, nu
-        if len(r0) != 1:
-            raise TheoremViolation("gcd with the cyclotomic polynomial must be constant")
-        g = r0[0]
-        d = _ctx(k)[0]
-        inv = [Fraction(0)] * d
-        for i, c in enumerate(u0[:d]):
-            inv[i] = c / g
-        return CycloElt(k, inv)
-
-    def __truediv__(self, other):
-        other = CycloElt._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return CycloElt._coerce(other) * self.inverse()
-
     def __pow__(self, n: int) -> CycloElt:
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative powers are not supported")
         acc = CycloElt.one(self.order)
         base = self
         while n:
@@ -371,29 +320,7 @@ class CycloElt:
         j %= k
         if gcd(j, k) != 1:
             raise ValueError(f"conjugation exponent {j} not coprime to {k}")
-        d, pows, _ = _ctx(k)
-        acc = [Fraction(0)] * d
-        for i, c in enumerate(self.coords):
-            if c:
-                row = pows[(i * j) % k]
-                for t in range(d):
-                    if row[t]:
-                        acc[t] += c * row[t]
-        return CycloElt(k, acc)
-
-    def conjugates(self) -> list[CycloElt]:
-        k = self.order
-        return [self.galois_conj(j) for j in range(1, k + 1) if gcd(j, k) == 1]
-
-    def norm(self) -> Fraction:
-        """Field norm to Q: the product of all Galois conjugates."""
-        prod = CycloElt.one(self.order)
-        for conj in self.conjugates():
-            prod = prod * conj
-        val = prod.rational_value()
-        if val is None:
-            raise TheoremViolation("norm must be rational")
-        return val
+        return self._map_basis(k, j)
 
     # ---- comparison ----------------------------------------------------
 
@@ -402,11 +329,7 @@ class CycloElt:
         if other is None:
             return NotImplemented
         a, b = CycloElt._merge(self, other)
-        return a.coords == b.coords
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        return a.nums == b.nums and a.den == b.den
 
     __hash__ = None  # merged-order equality is not hash-compatible
 
@@ -418,4 +341,4 @@ def zeta_power_vector(k: int, m: int) -> tuple[int, ...]:
 
 def phi_degree(k: int) -> int:
     """phi(k), the degree of Q(zeta_k); table-backed."""
-    return _ctx(k)[0] if k <= 10_000 else euler_phi(k)
+    return _ctx(k)[0]

@@ -19,10 +19,6 @@ class ImprimitiveInput(LZeroError):
     """A primitive character was required but conductor < modulus."""
 
 
-class NotPrimePower(LZeroError):
-    """A prime-power modulus was required."""
-
-
 class NonIntegralResult(LZeroError):
     """A quantity that must be a nonnegative integer failed to be one."""
 

@@ -340,10 +340,6 @@ class PadicTower:
             "factor": list(self.lifted_factor),
         }
 
-    def zero(self) -> PadicElt:
-        mat = tuple(tuple(0 for _ in range(self.f_res)) for _ in range(self.e_ram))
-        return PadicElt(self, 0, mat)
-
     def one(self) -> PadicElt:
         return self.from_int(1)
 
@@ -440,7 +436,7 @@ def build_tower(p: int, k: int, precision: int = N_START) -> PadicTower:
     return tower
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PadicElt:
     """An element C / p^shift with C an e x f coefficient matrix mod p^N."""
 
@@ -451,28 +447,6 @@ class PadicElt:
     def _check(self, other: PadicElt):
         if self.tower is not other.tower and self.tower != other.tower:
             raise ValueError("elements live in different towers")
-
-    def __add__(self, other: PadicElt):
-        self._check(other)
-        s = max(self.shift, other.shift)
-        pN = self.tower.modulus
-        p = self.tower.p
-        ma = p ** (s - self.shift)
-        mb = p ** (s - other.shift)
-        mat = tuple(
-            tuple((x * ma + y * mb) % pN for x, y in zip(ra, rb))
-            for ra, rb in zip(self.mat, other.mat)
-        )
-        return PadicElt(self.tower, s, mat)
-
-    def __neg__(self):
-        pN = self.tower.modulus
-        return PadicElt(
-            self.tower, self.shift, tuple(tuple((-x) % pN for x in r) for r in self.mat)
-        )
-
-    def __sub__(self, other: PadicElt):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -501,23 +475,6 @@ class PadicElt:
             n >>= 1
         return acc
 
-    def __eq__(self, other):
-        if not isinstance(other, PadicElt):
-            return NotImplemented
-        self._check(other)
-        s = max(self.shift, other.shift)
-        p = self.tower.p
-        pN = self.tower.modulus
-        ma = p ** (s - self.shift)
-        mb = p ** (s - other.shift)
-        return all(
-            (x * ma - y * mb) % pN == 0
-            for ra, rb in zip(self.mat, other.mat)
-            for x, y in zip(ra, rb)
-        )
-
-    __hash__ = None
-
 
 def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
     """The image of z under the fixed embedding; z.order must divide k.
@@ -532,19 +489,14 @@ def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
     if k % z.order:
         raise IncompatibleOrders(f"order {z.order} does not divide tower order {k}")
     p, pN, N = tower.p, tower.modulus, tower.precision
-    den = 1
-    for c in z.coords:
-        den = lcm(den, c.denominator)
-    s = valuation(den, p) if den % p == 0 else 0
-    den_unit = den // p**s
+    s = valuation(z.den, p) if z.den % p == 0 else 0
     if s >= N:
         raise PrecisionExhausted(
             f"denominator p-exponent {s} consumes the precision budget N={N}"
         )
-    inv_unit = pow(den_unit, -1, pN)
-    ints = [int(c * den) for c in z.coords]
+    inv_unit = pow(z.den // p**s, -1, pN)
     flat = [
-        sum(map(mul, ints, col)) * inv_unit % pN
+        sum(map(mul, z.nums, col)) * inv_unit % pN
         for col in tower.zeta_power_columns(k // z.order)
     ]
     f = tower.f_res
@@ -555,8 +507,8 @@ def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
 def padic_valuation(elt: PadicElt):
     """Exact valuation (v(p) = 1) or ABOVE_PRECISION if elt = 0 mod p^N."""
     t = elt.tower
-    p, N, e = t.p, t.precision, t.e_ram
-    best: Fraction | None = None
+    p, e = t.p, t.e_ram
+    best = None  # min_j e v(c_j) + j, an integer
     for j, row in enumerate(elt.mat):
         vmin = None
         for c in row:
@@ -569,12 +521,12 @@ def padic_valuation(elt: PadicElt):
                         break
         if vmin is None:
             continue
-        cand = Fraction(vmin) + Fraction(j, e)
+        cand = vmin * e + j
         if best is None or cand < best:
             best = cand
     if best is None:
         return ABOVE_PRECISION
-    return best - elt.shift
+    return Fraction(best - elt.shift * e, e)
 
 
 def padic_residue(elt: PadicElt) -> tuple[int, ...]:

@@ -238,12 +238,13 @@ def deligne_ribet_check(chi: DirichletChar) -> BoundRecord:
     """Verify the Deligne--Ribet bound w(chi) * L(0, chi) is integral.
 
     This is a theorem, so failure raises IntegralityViolation.  The check
-    is global: in the power basis of the cyclotomic integers, integrality
-    is simply integrality of every coordinate.
+    is global: the power basis is an integral basis of the cyclotomic
+    integers, and L(0, chi) is stored in lowest terms, so w * L(0, chi) is
+    integral exactly when its denominator divides w.
     """
     w = root_of_unity_order(chi)
     lv = l_value_at_zero(chi).l_at_zero
-    ok = (lv * w).is_algebraic_integer()
+    ok = w % lv.den == 0
     if not ok:
         raise IntegralityViolation(
             f"w * L(0, chi) not integral for chi mod {chi.modulus} {chi.exponents} (w={w})"

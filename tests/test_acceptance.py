@@ -196,13 +196,21 @@ def _gauss_val_oracle(x: int, y: int) -> int:
     raise AssertionError("zero has no finite valuation")
 
 
+def _mat_sum(x, y):
+    """The matrix of x + y for two images with shift 0."""
+    pN = x.tower.modulus
+    assert x.shift == y.shift == 0
+    return tuple(tuple((a + b) % pN for a, b in zip(ra, rb))
+                 for ra, rb in zip(x.mat, y.mat))
+
+
 def test_criterion_10_property_suites():
     rng = random.Random(0x1CEB00DA)
 
     # (a) ring-morphism and ultrametric laws, 200 elements per tower
     for p, k in [(5, 4), (3, 9), (7, 4), (5, 20)]:
         tower = build_tower(p, k)
-        d = len(CycloElt.zero(k).coords)
+        d = len(CycloElt.zero(k).nums)
         elts = [
             CycloElt(k, [rng.randrange(-30, 31) for _ in range(d)])
             for _ in range(200)
@@ -211,12 +219,14 @@ def test_criterion_10_property_suites():
         for i in range(0, 200, 2):
             a, b = elts[i], elts[i + 1]
             fa, fb = images[i], images[i + 1]
-            assert embed_padic(a + b, tower) == fa + fb
-            assert embed_padic(a * b, tower) == fa * fb
+            fs = embed_padic(a + b, tower)
+            assert (fs.shift, fs.mat) == (0, _mat_sum(fa, fb))
+            fp = embed_padic(a * b, tower)
+            assert (fp.shift, fp.mat) == (0, (fa * fb).mat)
             va, vb = padic_valuation(fa), padic_valuation(fb)
             if va is ABOVE_PRECISION or vb is ABOVE_PRECISION:
                 continue
-            vs = padic_valuation(fa + fb)
+            vs = padic_valuation(fs)
             if vs is not ABOVE_PRECISION:
                 assert vs >= min(va, vb)
                 if va != vb:
@@ -224,7 +234,7 @@ def test_criterion_10_property_suites():
             vp = padic_valuation(fa * fb)
             if vp is not ABOVE_PRECISION:
                 assert vp == va + vb
-        assert embed_padic(CycloElt.one(k), tower) == tower.one()
+        assert embed_padic(CycloElt.one(k), tower).mat == tower.one().mat
 
     # (b) Gaussian-integer valuation oracle at k = 4, p = 5
     checked_positive = 0

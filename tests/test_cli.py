@@ -228,6 +228,16 @@ def test_strict_flag_turns_anomalies_into_failure(capsys):
 # process-level entry points
 
 
+def test_public_names_resolve():
+    import lzero
+
+    missing = [name for name in lzero.__all__ if not hasattr(lzero, name)]
+    assert not missing
+    namespace = {}
+    exec("from lzero import *", namespace)
+    assert set(lzero.__all__) <= set(namespace)
+
+
 def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "lzero", "irregular", "--pmax", "40"],
