@@ -272,7 +272,6 @@ class CycloElt:
         ma, mb = den // a.den, den // b.den
         return CycloElt(a.order, [x * ma + y * mb for x, y in zip(a.nums, b.nums)], den)
 
-    __radd__ = __add__
 
     def __neg__(self):
         return CycloElt(self.order, [-c for c in self.nums], self.den)
@@ -298,7 +297,6 @@ class CycloElt:
             prod = poly_mul_reduce(a.nums, b.nums, mulrows)
         return CycloElt(a.order, prod, a.den * b.den)
 
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> CycloElt:
         if n < 0:

@@ -448,20 +448,12 @@ class PadicElt:
         if self.tower is not other.tower and self.tower != other.tower:
             raise ValueError("elements live in different towers")
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            pN = self.tower.modulus
-            return PadicElt(
-                self.tower,
-                self.shift,
-                tuple(tuple(x * other % pN for x in r) for r in self.mat),
-            )
+    def __mul__(self, other: PadicElt):
         self._check(other)
         t = self.tower
         mat = tower_mul(self.mat, other.mat, t._grows, t._erows, t.modulus)
         return PadicElt(t, self.shift + other.shift, tuple(tuple(r) for r in mat))
 
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:

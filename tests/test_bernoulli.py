@@ -207,3 +207,15 @@ def test_cache_roundtrip(tmp_path):
         assert files[0].stat().st_size == size
     finally:
         set_cache_dir(None)
+
+
+def test_cache_line_with_a_malformed_coordinate_is_recomputed(tmp_path):
+    chi = DirichletChar(5, (1,))
+    want = l_value_at_zero(chi).b1chi
+    (tmp_path / "b1chi.jsonl").write_text(
+        '{"b1": ["1/0", "0/1"], "chi": [1], "f": 5, "k": 4}\n', encoding="ascii")
+    try:
+        set_cache_dir(str(tmp_path))
+        assert l_value_at_zero(chi).b1chi == want
+    finally:
+        set_cache_dir(None)

@@ -384,7 +384,7 @@ def _horner_embed(z, tower):
         mat = [list(r) for r in (acc * xi).mat]
         mat[0][0] = (mat[0][0] + c) % pN  # + c: the constant coefficient
         acc = type(acc)(tower, 0, tuple(map(tuple, mat)))
-    acc = acc * pow(z.den // p**s, -1, pN)
+    acc = acc * tower.from_int(pow(z.den // p**s, -1, pN))
     return s, acc.mat
 
 
