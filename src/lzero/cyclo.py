@@ -272,7 +272,6 @@ class CycloElt:
         ma, mb = den // a.den, den // b.den
         return CycloElt(a.order, [x * ma + y * mb for x, y in zip(a.nums, b.nums)], den)
 
-
     def __neg__(self):
         return CycloElt(self.order, [-c for c in self.nums], self.den)
 
@@ -283,11 +282,8 @@ class CycloElt:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElt(self.order, [c * q.numerator for c in self.nums],
-                            self.den * q.denominator)
-        if not isinstance(other, CycloElt):
+        other = CycloElt._coerce(other)
+        if other is None:
             return NotImplemented
         a, b = CycloElt._merge(self, other)
         d, _, mulrows = _ctx(a.order)
@@ -296,7 +292,6 @@ class CycloElt:
         else:
             prod = poly_mul_reduce(a.nums, b.nums, mulrows)
         return CycloElt(a.order, prod, a.den * b.den)
-
 
     def __pow__(self, n: int) -> CycloElt:
         if n < 0:

@@ -454,7 +454,6 @@ class PadicElt:
         mat = tower_mul(self.mat, other.mat, t._grows, t._erows, t.modulus)
         return PadicElt(t, self.shift + other.shift, tuple(tuple(r) for r in mat))
 
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not supported in the tower")
