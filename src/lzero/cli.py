@@ -7,6 +7,12 @@ records for spreadsheet use.  Outputs are byte-identical for identical
 inputs: records are canonically sorted, valuations are exact "a/b" strings
 and nothing timestamped enters the body.
 
+The envelope is written while it is walked (``_JsonWriter``).  Its bytes are
+those of ``json.dumps(envelope, sort_keys=True, indent=2)``, but records are
+read in place and go to standard output one at a time, so the document is
+never held whole, and each tower descriptor is rendered once and its text
+reused for every record that carries it.
+
 Exit codes: 0 all checks passed; 1 a proved statement failed to verify
 (which would mean a bug) or, under ``--strict``, a conjecture-level anomaly
 was found; 2 invalid input.
@@ -17,11 +23,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from . import __version__
 from .bernoulli import irregular_pairs, l_value_at_zero, minus_class_number, set_cache_dir
@@ -35,7 +41,7 @@ from .errors import (
     TheoremViolation,
 )
 from .nt import is_prime
-from .padic import N_CAP, N_START, build_tower
+from .padic import N_CAP, N_START, TowerDescriptor, build_tower
 from .scans import (
     deligne_ribet_check,
     deligne_ribet_scan,
@@ -52,41 +58,153 @@ from .scans import (
 _INPUT_ERRORS = (ImprimitiveInput, IncompatibleOrders, NoOrderPCharacter, ValueError)
 
 
-def _jsonable(obj):
-    """Recursively convert records to JSON-safe values; Fractions go to 'a/b'."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+_ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps's escaping under ensure_ascii
+# JSON text of a scalar, by type; a subclass takes its first base listed here
+_SCALAR_TEXT = {
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    str: _ESCAPE,
+    type(None): lambda _: "null",
+    Fraction: lambda q: f'"{q}"',
+}
+
+
+def _scalar_text(obj) -> str | None:
+    for cls in type(obj).__mro__:
+        if cls in _SCALAR_TEXT:
+            return _SCALAR_TEXT[cls](obj)
+    return None
+
+
+class _JsonWriter:
+    """JSON text of records, as ``json.dumps(value, sort_keys=True, indent=2)``
+    writes it, or with ``compact`` as ``separators=(",", ":")`` writes it.
+
+    Records are read where they stand: dataclass fields in place, dict keys
+    as ``str(key)``, tuples as lists and a Fraction as its "a/b" string; any
+    other type raises TypeError.  A tower descriptor is rendered once per
+    (p, k, precision) and indentation, and its text reused.
+    """
+
+    def __init__(self, compact: bool = False):
+        self._step = "" if compact else "  "
+        self._colon = ":" if compact else ": "
+        self._fields = {}  # dataclass type -> (field names, their rendered keys), sorted
+        self._towers = {}  # (p, k, precision, line break + indentation) -> text
+
+    def dumps(self, obj) -> str:
+        out = []
+        self._walk(obj, "\n" if self._step else "", out)
+        return "".join(out)
+
+    def dump(self, obj, write) -> None:
+        """write(...) the text of obj and a newline.  Each item of a container
+        directly under the root, one record of an envelope's "records" say,
+        goes out in one write with the separator before it, so at most one
+        such item is held as text."""
+        self._stream(obj, "\n", "", write, 2)
+        write("\n")
+
+    def _stream(self, obj, nl, prefix, write, levels):
+        container = self._container(obj) if levels and _scalar_text(obj) is None else None
+        if container is None or not container[3]:
+            out = [prefix]
+            self._walk(obj, nl, out)
+            write("".join(out))
+            return
+        opening, closing, keys, values = container
+        inner = nl + self._step
+        sep = prefix + opening + inner
+        for key, value in zip(keys, values):
+            self._stream(value, inner, sep + key, write, levels - 1)
+            sep = "," + inner
+        write(nl + closing)
+
+    def _walk(self, obj, nl, out):
+        render = _SCALAR_TEXT.get(type(obj))
+        if render is not None:
+            out.append(render(obj))
+        elif type(obj) is TowerDescriptor:
+            key = (obj["p"], obj["k"], obj["precision"], nl)
+            text = self._towers.get(key)
+            if text is None:
+                part = []
+                self._walk_container(self._container(obj), nl, part)
+                text = self._towers[key] = "".join(part)
+            out.append(text)
+        else:
+            text = _scalar_text(obj)
+            if text is None:
+                self._walk_container(self._container(obj), nl, out)
+            else:
+                out.append(text)
+
+    def _walk_container(self, container, nl, out):
+        opening, closing, keys, values = container
+        if not values:
+            out.append(opening + closing)
+            return
+        inner = nl + self._step
+        comma = "," + inner
+        sep = opening + inner
+        for key, value in zip(keys, values):
+            out.append(sep + key)
+            self._walk(value, inner, out)
+            sep = comma
+        out.append(nl + closing)
+
+    def _container(self, obj):
+        """(opening, closing, rendered keys, values) of a container; raises
+        TypeError for a type with no JSON form."""
+        cls = type(obj)
+        if cls is tuple or cls is list:
+            return "[", "]", repeat(""), obj
+        if cls in self._fields:
+            names, keys = self._fields[cls]
+            return "{", "}", keys, [getattr(obj, n) for n in names]
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            names = sorted(f.name for f in dataclasses.fields(obj))
+            self._fields[cls] = (names, [_ESCAPE(n) + self._colon for n in names])
+            return self._container(obj)
+        if isinstance(obj, dict):
+            items = sorted({str(k): v for k, v in obj.items()}.items())
+            return "{", "}", [_ESCAPE(k) + self._colon for k, _ in items], [v for _, v in items]
+        if isinstance(obj, (list, tuple)):
+            return "[", "]", repeat(""), obj
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _csv_cell(value, writer: _JsonWriter):
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    return writer.dumps(value)
+
+
+def _csv_row(record) -> dict:
+    if dataclasses.is_dataclass(record) and not isinstance(record, type):
+        return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return {str(k): v for k, v in record.items()}
 
 
 def _emit(envelope: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        _JsonWriter().dump(envelope, sys.stdout.write)
         return
     # CSV: records only, scalars kept, nested values packed as compact JSON
     records = envelope["records"]
-    buf = io.StringIO()
-    if records:
-        keys = sorted({k for rec in records for k in rec})
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        for rec in records:
-            row = []
-            for k in keys:
-                v = rec.get(k)
-                if isinstance(v, (dict, list)):
-                    v = json.dumps(v, sort_keys=True, separators=(",", ":"))
-                row.append("" if v is None else v)
-            writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
+    if not records:
+        return
+    keys = sorted({k for rec in records for k in _csv_row(rec)})
+    cells = _JsonWriter(compact=True)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(keys)
+    for rec in records:
+        row = _csv_row(rec)
+        writer.writerow([_csv_cell(row.get(k), cells) for k in keys])
 
 
 def _envelope(command: str, params: dict, towers: list, records: list, summary: dict,
@@ -94,10 +212,10 @@ def _envelope(command: str, params: dict, towers: list, records: list, summary: 
     return {
         "command": command,
         "version": __version__,
-        "params": _jsonable(params),
-        "towers": _jsonable(towers),
-        "records": _jsonable(records),
-        "summary": _jsonable(summary),
+        "params": params,
+        "towers": towers,
+        "records": records,
+        "summary": summary,
         "status": status,
     }
 

@@ -306,6 +306,15 @@ def _eisenstein_poly(p: int, a: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
+class TowerDescriptor(dict):
+    """The plain dict that PadicTower.descriptor() returns.
+
+    Its contents are fixed by (p, k, precision), so the CLI writes the JSON
+    text of one descriptor once and reuses it for every record that
+    carries an equal one.
+    """
+
+
 @dataclass(frozen=True)
 class PadicTower:
     """The fixed local model for (p, k) at working precision p^N."""
@@ -327,9 +336,9 @@ class PadicTower:
     def modulus(self) -> int:
         return self.p**self.precision
 
-    def descriptor(self) -> dict:
+    def descriptor(self) -> TowerDescriptor:
         """Everything needed to re-derive the embedding independently."""
-        return {
+        return TowerDescriptor({
             "p": self.p,
             "k": self.k,
             "precision": self.precision,
@@ -338,7 +347,7 @@ class PadicTower:
             "f_res": self.f_res,
             "e_ram": self.e_ram,
             "factor": list(self.lifted_factor),
-        }
+        })
 
     def one(self) -> PadicElt:
         return self.from_int(1)
@@ -580,6 +589,26 @@ def cyclo_valuation(z: CycloElt, p: int, n_start: int = N_START):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _power_residues(p: int, k1: int) -> tuple[tuple[int, ...], ...]:
+    """x^e mod the chosen factor of Phi_{k1} mod p, for e = 0, ..., k1 - 1."""
+    fct = residue_factor(p, k1)
+    out = [[1]]
+    for _ in range(1, k1):
+        out.append(_pm_divmod([0] + out[-1], fct, p)[1])
+    return tuple(tuple(r) for r in out)
+
+
+@functools.lru_cache(maxsize=None)
+def _tame_part(p: int, k: int) -> tuple[int, int]:
+    """(k', beta) for k = p^a k': zeta_k^m reduces to x^(beta m mod k')."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+    a_wild = factorize(k).get(p, 0)
+    k1 = k // p**a_wild
+    return k1, pow(p**a_wild, -1, k1) if k1 > 1 else 1
+
+
 def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
     """Does chi reduce to omega^t mod the chosen place above p?
 
@@ -587,23 +616,17 @@ def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
     multiplicativity: the residue of chi(g) (p-power-order parts reduce
     to 1) must equal g^t mod p.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    f = chi.modulus
-    m_mod = lcm(f, p)
     k, _ = _char_data(chi.modulus, chi.exponents)
-    a_wild = factorize(k).get(p, 0)
-    k1 = k // p**a_wild
     # residue of zeta_k^m: the p-power part drops to 1 and the tame part is
     # x^(beta m) under the CRT normalisation used by build_tower.
-    beta = pow(p**a_wild, -1, k1) if k1 > 1 else 1
-    fct = list(residue_factor(p, k1))
+    k1, beta = _tame_part(p, k)
+    residues = _power_residues(p, k1)
+    m_mod = lcm(chi.modulus, p)
     for g, _o in unit_group_basis(m_mod).generators:
         m = eval_exponent(chi, g)
         if m is None:
             raise TheoremViolation(f"chi has no value at the unit {g} mod {m_mod}")
-        lhs = _pm_divmod([0] * (m * beta % k1) + [1], fct, p)[1]
-        rhs = _pm_trim([pow(g, t, p)])
-        if lhs != rhs:
+        # g is a unit mod p, so g^t mod p is a nonzero constant
+        if residues[m * beta % k1] != (pow(g, t, p),):
             return False
     return True

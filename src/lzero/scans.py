@@ -12,6 +12,7 @@ and leave the judgement to the reader.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +21,10 @@ from math import gcd, lcm
 from .bernoulli import bernoulli_number, l_value_at_zero, minus_class_number
 from .characters import (
     DirichletChar,
+    _char_data,
+    _dlog_table,
     char_eval,
     enumerate_characters,
-    eval_exponent,
     is_odd,
     is_primitive,
     mul_chars,
@@ -209,14 +211,23 @@ def root_of_unity_order(chi: DirichletChar) -> int:
     The field is the fixed field of ker(chi) inside the cyclotomic field of
     conductor f, so zeta_n lives there for n | f exactly when every kernel
     element is 1 mod n; -1 is always present, whence the lcm with 2 (which
-    also covers the divisors of 2f of the shape 2 * odd).
+    also covers the divisors of 2f of the shape 2 * odd).  ker chi^j =
+    ker chi for j prime to the value order k, so the answer is computed
+    once per Galois orbit, keyed by the least weight vector in the orbit.
     """
     if not is_primitive(chi):
         raise ValueError("chi must be primitive")
-    f = chi.modulus
-    k = chi.value_order
-    kernel = [a for a in range(1, f + 1)
-              if gcd(a, f) == 1 and eval_exponent(chi, a) % k == 0]
+    k, weights = _char_data(chi.modulus, chi.exponents)
+    orbit = min(tuple(w * j % k for w in weights) for j in range(1, k + 1) if gcd(j, k) == 1)
+    return _orbit_root_of_unity_order(chi.modulus, k, orbit)
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_root_of_unity_order(f: int, k: int, weights: tuple[int, ...]) -> int:
+    """root_of_unity_order of the characters mod f with these weights on
+    the canonical generators (chi(g_i) = zeta_k^(w_i))."""
+    kernel = [a for a, exps in _dlog_table(f).items()
+              if sum(t * w for t, w in zip(exps, weights)) % k == 0]
     best = 1
     for n in divisors(f):
         if all(a % n == 1 for a in kernel):

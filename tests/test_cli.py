@@ -1,15 +1,26 @@
 """The command line interface: envelopes, determinism, exit codes, formats."""
 
+import contextlib
 import csv
+import dataclasses
+import enum
 import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lzero.cli import build_parser, main
+from lzero import ClassificationViolation, __version__, build_tower
+from lzero import cli
+from lzero.cli import _JsonWriter, _emit, build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 ENVELOPE_KEYS = {"command", "version", "params", "towers", "records", "summary", "status"}
@@ -222,6 +233,156 @@ def test_strict_flag_turns_anomalies_into_failure(capsys):
     # a clean run stays exit 0 under --strict
     code, out, _ = run_cli(["congruence", "--fmax", "12", "-p", "3", "--strict"], capsys)
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    valuation: object
+    exponents: object
+    notes: object = ""
+
+
+def _ref(obj):
+    """A JSON-safe copy of obj: dataclasses and dicts to dicts with str keys,
+    tuples to lists, a Fraction to its "a/b" string."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _ref(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _ref(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref(v) for v in obj]
+    raise TypeError(type(obj).__name__)
+
+
+class _Level(enum.IntEnum):  # an int subclass: written as its int
+    LOW = -1
+    HIGH = 2**70
+
+
+_DESCRIPTORS = [build_tower(p, k, n).descriptor()
+                for p, k, n in [(3, 2, 16), (5, 4, 16), (3, 18, 16), (5, 4, 32)]]
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-10**400, max_value=10**400)
+            | st.fractions() | st.text() | st.sampled_from([*_Level, *_DESCRIPTORS]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=3) | st.integers(-20, 20), inner, max_size=4)
+                   | st.builds(_Record, inner, inner, inner)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_writer_matches_json_dumps(obj):
+    parts = []
+    _JsonWriter().dump(obj, parts.append)
+    assert "".join(parts) == json.dumps(_ref(obj), sort_keys=True, indent=2) + "\n"
+    assert _JsonWriter().dumps(obj) == json.dumps(_ref(obj), sort_keys=True, indent=2)
+    assert (_JsonWriter(compact=True).dumps(obj)
+            == json.dumps(_ref(obj), sort_keys=True, separators=(",", ":")))
+
+
+def _csv_reference(records) -> str:
+    """The CSV projection as csv plus compact json.dumps write it."""
+    records = _ref(records)
+    buf = io.StringIO()
+    if records:
+        keys = sorted({k for rec in records for k in rec})
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        for rec in records:
+            row = []
+            for k in keys:
+                v = rec.get(k)
+                if isinstance(v, (dict, list)):
+                    v = json.dumps(v, sort_keys=True, separators=(",", ":"))
+                row.append("" if v is None else v)
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.builds(_Record, _VALUES, _VALUES, _VALUES)
+                | st.dictionaries(st.sampled_from(["p", "k", "tower", "notes"]), _VALUES),
+                max_size=4))
+def test_csv_projection_matches_reference(records):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit({"records": records}, "csv")
+    assert out.getvalue() == _csv_reference(records)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, object(), [complex(1, 1)], {"a": b"x"}])
+def test_writer_rejects_unknown_types(value):
+    for writer in (_JsonWriter(), _JsonWriter(compact=True)):
+        with pytest.raises(TypeError):
+            writer.dumps(value)
+        with pytest.raises(TypeError):
+            writer.dump({"records": [value]}, lambda text: None)
+    with pytest.raises(TypeError):
+        _emit({"records": [{"cell": value}]}, "csv")
+
+
+def test_violation_envelope_exit_1(monkeypatch, capsys):
+    def violate(*args):
+        raise ClassificationViolation("count law fails at p=3, d=1")
+
+    monkeypatch.setattr(cli, "nonintegral_locus_scan", violate)
+    code, out, _ = run_cli(["prop1", "--fmax", "20", "--pmax", "11"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "violation"
+    assert doc["records"] == [] and doc["towers"] == []
+    want = {
+        "command": "prop1",
+        "version": __version__,
+        "params": {"fmax": 20, "pmax": 11, "precision": 16},
+        "towers": [],
+        "records": [],
+        "summary": {"error": "ClassificationViolation: count law fails at p=3, d=1"},
+        "status": "violation",
+    }
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    code, out, _ = run_cli(["prop1", "--fmax", "20", "--pmax", "11", "--format", "csv"], capsys)
+    assert code == 1 and out == ""
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_envelope_is_written_one_record_at_a_time(monkeypatch):
+    golden = (GOLDEN / "prop1.out").read_text()
+    records = json.loads(golden)["records"]
+    # a record as it stands in the document: the separator and line break
+    # before it, and its lines indented two levels
+    largest = max(len(",\n" + textwrap.indent(json.dumps(r, sort_keys=True, indent=2), "    "))
+                  for r in records)
+    stdout = _Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["prop1", "--fmax", "20", "--pmax", "11"]) == 0
+    assert "".join(stdout.writes) == golden
+    assert len(stdout.writes) > len(records)
+    assert max(map(len, stdout.writes)) <= largest
 
 
 # ---------------------------------------------------------------------------

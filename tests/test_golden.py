@@ -63,6 +63,14 @@ def test_stdout_matches_golden_under_optimize(case):
     assert out.stdout == (GOLDEN / f"{case}.out").read_bytes()
 
 
+def test_jobs_do_not_change_stdout():
+    # --jobs splits the scan over worker processes; the bytes must not move
+    argv, code = CASES["prop1"]
+    out = _run([*argv, "--jobs", "2"])
+    assert out.returncode == code, out.stderr.decode()
+    assert out.stdout == (GOLDEN / "prop1.out").read_bytes()
+
+
 def test_cache_never_changes_stdout(tmp_path):
     argv, code = CASES["deligne_ribet"]
     want = (GOLDEN / "deligne_ribet.out").read_bytes()

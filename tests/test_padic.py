@@ -518,6 +518,54 @@ def test_zeta_crt_normalisation():
 # omega-power detection
 
 
+def _omega_power_reference(chi, p, t):
+    """char_is_omega_power_mod_p before its per-(p, k') tables, verbatim."""
+    from lzero.characters import _char_data, eval_exponent, unit_group_basis
+    from lzero.nt import factorize, is_prime
+    from lzero.padic import _pm_trim
+
+    if p == 2 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+    f = chi.modulus
+    m_mod = lcm(f, p)
+    k, _ = _char_data(chi.modulus, chi.exponents)
+    a_wild = factorize(k).get(p, 0)
+    k1 = k // p**a_wild
+    beta = pow(p**a_wild, -1, k1) if k1 > 1 else 1
+    fct = list(residue_factor(p, k1))
+    for g, _o in unit_group_basis(m_mod).generators:
+        m = eval_exponent(chi, g)
+        if m is None:
+            raise TheoremViolation(f"chi has no value at the unit {g} mod {m_mod}")
+        lhs = _pm_divmod([0] * (m * beta % k1) + [1], fct, p)[1]
+        rhs = _pm_trim([pow(g, t, p)])
+        if lhs != rhs:
+            return False
+    return True
+
+
+def test_omega_power_tables_match_reference():
+    from lzero.characters import enumerate_characters
+    from lzero.nt import primes_upto
+
+    chars = [chi for f in range(1, 61) for chi in enumerate_characters(f, primitive_only=True)]
+    hits = 0
+    for p in primes_upto(31)[1:]:
+        for chi in chars:
+            for t in (-1, 0, 1):
+                got = char_is_omega_power_mod_p(chi, p, t)
+                assert got == _omega_power_reference(chi, p, t), (p, chi, t)
+                hits += got
+    assert hits  # both answers occur
+
+
+def test_omega_power_rejects_even_or_composite_p():
+    chi = DirichletChar(5, (1,))
+    for p in (2, 9, 1):
+        with pytest.raises(ValueError):
+            char_is_omega_power_mod_p(chi, p, -1)
+
+
 def test_char_is_omega_power_basics():
     # the order-4 character mod 5 with chi(2) = zeta_4 -> residue 2 = 2^1:
     # it restricts to omega itself.

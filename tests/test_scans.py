@@ -263,6 +263,34 @@ def test_root_of_unity_order_brute_force():
         assert root_of_unity_order(chi) == best
 
 
+def _root_of_unity_order_reference(chi):
+    """root_of_unity_order before it was cached per Galois orbit: the
+    kernel walk over every a <= f, verbatim."""
+    from math import gcd
+
+    from lzero.characters import eval_exponent
+    from lzero.nt import divisors
+
+    f = chi.modulus
+    k = chi.value_order
+    kernel = [a for a in range(1, f + 1)
+              if gcd(a, f) == 1 and eval_exponent(chi, a) % k == 0]
+    best = 1
+    for n in divisors(f):
+        if all(a % n == 1 for a in kernel):
+            best = max(best, n)
+    return best * 2 // gcd(best, 2)
+
+
+def test_root_of_unity_order_matches_kernel_walk():
+    from lzero import primitive_odd_characters
+
+    chars = primitive_odd_characters(120)
+    assert len(chars) > 1000
+    for chi in chars:
+        assert root_of_unity_order(chi) == _root_of_unity_order_reference(chi), chi
+
+
 def test_deligne_ribet_anchors():
     r = deligne_ribet_check(DirichletChar(3, (1,)))
     assert r.w == 6 and r.integral
