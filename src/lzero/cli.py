@@ -31,6 +31,7 @@ from itertools import repeat
 
 from . import __version__
 from .bernoulli import irregular_pairs, l_value_at_zero, minus_class_number, set_cache_dir
+from .cache import CACHE_ENV_VAR
 from .characters import DirichletChar, is_odd
 from .errors import (
     IncompatibleOrders,
@@ -421,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cache:
             sp.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="directory for the JSONL B1 cache "
-                                 "(default: $LZERO_CACHE_DIR if set)")
+                                 f"(default: ${CACHE_ENV_VAR} if set)")
         sp.add_argument("--strict", action="store_true",
                         help="exit 1 if a conjecture-level anomaly is reported")
 
@@ -486,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get("LZERO_CACHE_DIR")
+    # lzero.bernoulli attached the cache named by the environment on import
+    cache_dir = getattr(args, "cache_dir", None)
     if cache_dir:
         set_cache_dir(cache_dir)
     # only the mathematical inputs belong in the report; execution details

@@ -12,98 +12,45 @@ compatible system zeta_d = zeta_K^(K/d) for d | K.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 
 from lzero._kernels import poly_mul_reduce
-from lzero.errors import IncompatibleOrders, TheoremViolation
-from lzero.nt import divisors
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Dense integer polynomial; coeffs[i] is the coefficient of x^i.
-
-    The tuple carries no trailing zeros, so the zero polynomial is ().
-
-    >>> (IntPoly.of(-1, 1) * IntPoly.of(1, 1)).coeffs
-    (-1, 0, 1)
-    """
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def of(*coeffs: int) -> IntPoly:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return IntPoly(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: IntPoly) -> IntPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly.of(*out)
-
-    def __mul__(self, other: IntPoly) -> IntPoly:
-        if self.is_zero() or other.is_zero():
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly.of(*out)
-
-    def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
-        """Division with exact integer quotient steps (raises otherwise)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return IntPoly(()), self
-        quo = [0] * (dq + 1)
-        for i in range(dq, -1, -1):
-            top = rem[i + other.degree]
-            if top % lead:
-                raise ValueError("non-exact division step")
-            q = top // lead
-            quo[i] = q
-            if q:
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] -= q * c
-        return IntPoly.of(*quo), IntPoly.of(*rem)
+from lzero.errors import IncompatibleOrders
+from lzero.nt import euler_phi, factorize
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic_poly(k: int) -> IntPoly:
-    """The k-th cyclotomic polynomial, by exact division of x^k - 1.
+def cyclotomic_poly(k: int) -> tuple[int, ...]:
+    """The k-th cyclotomic polynomial, coefficients in ascending degree.
 
-    >>> cyclotomic_poly(12).coeffs
+    For k > 1, Phi_k = prod_{d | k} (1 - x^d)^mu(k/d); the product is taken
+    on power series cut off past degree phi(k), where factors with
+    d > phi(k) are 1.
+
+    >>> cyclotomic_poly(12)
     (1, 0, -1, 0, 1)
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    num = IntPoly.of(*([-1] + [0] * (k - 1) + [1]))
-    for d in divisors(k)[:-1]:
-        quo, rem = divmod(num, cyclotomic_poly(d))
-        if not rem.is_zero():
-            raise TheoremViolation(f"Phi_{d} must divide x^{k} - 1 exactly")
-        num = quo
-    return num
+    if k == 1:
+        return (-1, 1)
+    deg = euler_phi(k)
+    out = [1] + [0] * deg
+    primes = list(factorize(k))
+    for r in range(len(primes) + 1):
+        for sub in combinations(primes, r):
+            d = k // prod(sub)
+            if d > deg:
+                continue
+            if r % 2:  # mu = -1: divide by 1 - x^d
+                for i in range(d, deg + 1):
+                    out[i] += out[i - d]
+            else:  # mu = +1: multiply by 1 - x^d
+                for i in range(deg, d - 1, -1):
+                    out[i] -= out[i - d]
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,8 +62,8 @@ def _ctx(k: int):
     degree-(2d-2) product.
     """
     phi = cyclotomic_poly(k)
-    d = phi.degree
-    low = phi.coeffs[:d]
+    d = len(phi) - 1
+    low = phi[:d]
     top = max(k - 1, 2 * d - 2)
     pows: list[tuple[int, ...]] = []
     cur = [0] * d

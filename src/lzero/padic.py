@@ -28,6 +28,13 @@ mod the polynomial being split; the factor chosen does not depend on this.
 The image of zeta_k is normalised by CRT: zeta_k^(k') = 1 + pi and
 zeta_k^(p^a) = x.  This makes the place restrict to the place of the tame
 subfield, so residues are comparable across towers sharing the same k'.
+So zeta_k = (1 + pi)^alpha x^beta with alpha k' = 1 mod p^a and
+beta p^a = 1 mod k' is a pure tensor, and so is each of its powers: the
+image of zeta_k^m is the outer product U[alpha m mod p^a] (x) V[beta m mod k']
+of a row of U[n] = (1 + pi)^n mod E and a row of V[m] = x^m mod g.  Every
+power table (U, V, the reduction rows of g and E, the residues x^e mod the
+chosen factor) is built by one step: multiply by x modulo a monic
+polynomial and a modulus.
 """
 from __future__ import annotations
 
@@ -35,13 +42,12 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from lzero._kernels import tower_mul
 from lzero.characters import DirichletChar, eval_exponent, unit_group_basis, _char_data
-from lzero.cyclo import CycloElt, IntPoly, cyclotomic_poly
+from lzero.cyclo import CycloElt, cyclotomic_poly
 from lzero.errors import IncompatibleOrders, PrecisionExhausted, TheoremViolation
 from lzero.nt import euler_phi, factorize, is_prime, multiplicative_order, valuation
 
@@ -240,7 +246,7 @@ def residue_factor(p: int, k1: int) -> tuple[int, ...]:
     Selection: minimize (b_0, ..., b_{d-1}) where the factor is written as
     x^d - sum b_i x^i with least nonnegative b_i.
     """
-    phi = [c % p for c in cyclotomic_poly(k1).coeffs]
+    phi = [c % p for c in cyclotomic_poly(k1)]
     d = multiplicative_order(p, k1) if k1 > 1 else 1
     rng = random.Random(_FACTOR_SEED ^ (p << 20) ^ k1)
     factors = _equal_degree_split(phi, d, _CyclicRing(k1, p), rng)
@@ -251,7 +257,7 @@ def residue_factor(p: int, k1: int) -> tuple[int, ...]:
     return tuple(min(factors, key=rule))
 
 
-def _hensel_lift(F: IntPoly, g_bar: tuple[int, ...], p: int, N: int) -> list[int]:
+def _hensel_lift(F: tuple[int, ...], g_bar: tuple[int, ...], p: int, N: int) -> list[int]:
     """Lift the factor g_bar of F mod p to a monic divisor of F mod p^N.
 
     Quadratic (Newton) lifting, von zur Gathen & Gerhard, Modern Computer
@@ -263,9 +269,9 @@ def _hensel_lift(F: IntPoly, g_bar: tuple[int, ...], p: int, N: int) -> list[int
     route taken to p^N.
     """
     g = [c % p for c in g_bar]
-    if len(g) - 1 == F.degree:
-        return [c % p**N for c in F.coeffs]
-    Fc = list(F.coeffs)
+    if len(g) == len(F):
+        return [c % p**N for c in F]
+    Fc = list(F)
     G = g
     H = _pm_divmod([c % p for c in Fc], g, p)[0]
     s, t = _pm_xgcd(H, G, p)[1:]
@@ -293,14 +299,37 @@ def _hensel_lift(F: IntPoly, g_bar: tuple[int, ...], p: int, N: int) -> list[int
     return G
 
 
-def _eisenstein_poly(p: int, a: int) -> IntPoly:
-    """Phi_{p^a}(1 + x) for a >= 1; Eisenstein at p of degree phi(p^a)."""
-    phi = cyclotomic_poly(p**a)
-    acc = IntPoly(())
-    shift = IntPoly.of(1, 1)
-    for c in reversed(phi.coeffs):
-        acc = acc * shift + IntPoly.of(c)
-    return acc
+def _eisenstein_poly(p: int, a: int) -> tuple[int, ...]:
+    """E(x) = Phi_{p^a}(1 + x), of degree phi(p^a); Eisenstein at p for a >= 1.
+
+    Phi_{p^a}(y) = sum_{i<p} y^(i p^(a-1)), so the coefficient of x^m is
+    sum_{i<p} C(i p^(a-1), m).  For a = 0 it is Phi_1(1 + x) = x.
+
+    >>> _eisenstein_poly(3, 1)
+    (3, 3, 1)
+    """
+    if a == 0:
+        return (0, 1)
+    q = p ** (a - 1)
+    return tuple(sum(comb(i * q, m) for i in range(p)) for m in range((p - 1) * q + 1))
+
+
+def _times_x(u, monic, m: int) -> tuple[int, ...]:
+    """x u mod (monic, m), for u given by its deg(monic) coefficients mod m."""
+    carry = u[-1]
+    out = [0, *u[:-1]]
+    if carry:
+        for i, c in enumerate(monic[:-1]):
+            out[i] = (out[i] - carry * c) % m
+    return tuple(out)
+
+
+def _x_powers(monic, count: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """x^0, ..., x^(count - 1) mod (monic, m), as deg(monic) coefficients."""
+    rows = [(1,) + (0,) * (len(monic) - 2)]
+    for _ in range(count - 1):
+        rows.append(_times_x(rows[-1], monic, m))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +358,6 @@ class PadicTower:
     lifted_factor: tuple[int, ...]       # monic divisor of Phi_{k'} mod p^N
     _grows: tuple = field(repr=False, compare=False, default=())
     _erows: tuple = field(repr=False, compare=False, default=())
-    _zeta_mat: tuple = field(repr=False, compare=False, default=())
     _power_columns: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
@@ -349,48 +377,36 @@ class PadicTower:
             "factor": list(self.lifted_factor),
         })
 
-    def one(self) -> PadicElt:
-        return self.from_int(1)
-
-    def from_int(self, n: int) -> PadicElt:
-        mat = [[0] * self.f_res for _ in range(self.e_ram)]
-        mat[0][0] = n % self.modulus
-        return PadicElt(self, 0, tuple(tuple(r) for r in mat))
-
-    def zeta_image(self) -> PadicElt:
-        """The image of zeta_k: the k-th root of unity with zeta_k^(k') = 1+pi
-        and zeta_k^(p^a) = x (CRT exponents on the two components)."""
-        return PadicElt(self, 0, self._zeta_mat)
-
     def zeta_power_columns(self, step: int) -> tuple:
         """The images of xi^0, ..., xi^(phi(k/step) - 1) for xi = zeta_k^step,
         stored by column: one tuple per matrix entry (row-major), holding that
-        entry of every image.  Built on first use and kept with the tower."""
+        entry of every image.  Built on first use and kept with the tower.
+
+        The image of zeta_k^m is the outer product of U[alpha m mod p^a]
+        (the pi-row of (1 + pi)^(alpha m)) and V[beta m mod k'] (the x-row
+        of x^(beta m)); x^k' = 1 mod g and (1 + pi)^(p^a) = 1 mod E.
+        """
         cols = self._power_columns.get(step)
         if cols is None:
-            xi = self.zeta_image() ** step
-            imgs = [self.one()]
-            for _ in range(euler_phi(self.k // step) - 1):
-                imgs.append(imgs[-1] * xi)
-            cols = tuple(zip(*(chain.from_iterable(img.mat) for img in imgs)))
+            p, pN = self.p, self.modulus
+            k1, beta = _tame_part(p, self.k)
+            pa = self.k // k1
+            alpha = pow(k1, -1, pa)
+            v = _x_powers(self.lifted_factor, k1, pN)
+            eis = _eisenstein_poly(p, self.wild_exp)
+            u = [(1,) + (0,) * (self.e_ram - 1)]
+            for _ in range(pa - 1):
+                u.append(tuple((c + d) % pN for c, d in zip(u[-1], _times_x(u[-1], eis, pN))))
+            ms = [m * step for m in range(euler_phi(self.k // step))]
+            us = [u[alpha * m % pa] for m in ms]
+            vs = [v[beta * m % k1] for m in ms]
+            cols = tuple(
+                tuple(ui[j] * vi[l] % pN for ui, vi in zip(us, vs))
+                for j in range(self.e_ram)
+                for l in range(self.f_res)
+            )
             self._power_columns[step] = cols
         return cols
-
-
-def _reduction_rows(monic: list[int], count: int, modulus: int) -> tuple:
-    """Rows expanding x^(d+m), m < count, in the quotient by a monic poly."""
-    d = len(monic) - 1
-    low = [c % modulus for c in monic[:d]]
-    rows = []
-    cur = [(-c) % modulus for c in low]
-    for _ in range(count):
-        rows.append(tuple(cur))
-        carry = cur[d - 1]
-        cur = [0] + cur[: d - 1]
-        if carry:
-            for i in range(d):
-                cur[i] = (cur[i] - carry * low[i]) % modulus
-    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,47 +418,15 @@ def build_tower(p: int, k: int, precision: int = N_START) -> PadicTower:
         raise ValueError("k and precision must be positive")
     a = factorize(k).get(p, 0)
     k1 = k // p**a
-    fct = residue_factor(p, k1)
-    g_N = _hensel_lift(cyclotomic_poly(k1), fct, p, precision)
-    f_res = len(g_N) - 1
-    e_ram = euler_phi(p**a)
+    g_N = _hensel_lift(cyclotomic_poly(k1), residue_factor(p, k1), p, precision)
+    eis = _eisenstein_poly(p, a)
+    f_res, e_ram = len(g_N) - 1, len(eis) - 1
     pN = p**precision
-    grows = _reduction_rows(g_N, max(f_res - 1, 0), pN) if f_res > 1 else ()
-    if a >= 1:
-        eis = _eisenstein_poly(p, a)
-        erows = _reduction_rows([c % pN for c in eis.coeffs], max(e_ram - 1, 0), pN)
-    else:
-        erows = ()
-    tower = PadicTower(
-        p, k, precision, k1, a, f_res, e_ram, tuple(g_N), grows, erows, ()
+    return PadicTower(
+        p, k, precision, k1, a, f_res, e_ram, tuple(g_N),
+        _x_powers(g_N, 2 * f_res - 1, pN)[f_res:],
+        _x_powers(eis, 2 * e_ram - 1, pN)[e_ram:],
     )
-    # image of zeta_{k'}: x reduced mod g_N
-    xpoly = [0] * f_res
-    if f_res == 1:
-        xpoly[0] = (-g_N[0]) % pN  # the lifted root
-    else:
-        xpoly[1] = 1
-    zk1 = [[0] * f_res for _ in range(e_ram)]
-    zk1[0] = xpoly
-    zk1 = tuple(tuple(r) for r in zk1)
-    if a >= 1:
-        # zeta_{p^a} = 1 + pi; e_ram = phi(p^a) >= 2 here since p is odd
-        one_pi = [[0] * f_res for _ in range(e_ram)]
-        one_pi[0][0] = 1
-        one_pi[1][0] = 1
-        zpa = tuple(tuple(r) for r in one_pi)
-        # zeta_k = zeta_{p^a}^alpha * zeta_{k'}^beta with the CRT exponents,
-        # so that zeta_k^(p^a) comes out as exactly x: the place then
-        # restricts to the place of the tame subfield chosen by the factor
-        # rule, making residues comparable across towers sharing k'.
-        alpha = pow(k1, -1, p**a)
-        beta = pow(p**a, -1, k1) if k1 > 1 else 1
-        zel = PadicElt(tower, 0, zpa) ** alpha * PadicElt(tower, 0, zk1) ** beta
-        zmat = zel.mat
-    else:
-        zmat = zk1
-    object.__setattr__(tower, "_zeta_mat", zmat)
-    return tower
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,18 +446,6 @@ class PadicElt:
         t = self.tower
         mat = tower_mul(self.mat, other.mat, t._grows, t._erows, t.modulus)
         return PadicElt(t, self.shift + other.shift, tuple(tuple(r) for r in mat))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported in the tower")
-        acc = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
 
 
 def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
@@ -592,11 +564,7 @@ def cyclo_valuation(z: CycloElt, p: int, n_start: int = N_START):
 @functools.lru_cache(maxsize=None)
 def _power_residues(p: int, k1: int) -> tuple[tuple[int, ...], ...]:
     """x^e mod the chosen factor of Phi_{k1} mod p, for e = 0, ..., k1 - 1."""
-    fct = residue_factor(p, k1)
-    out = [[1]]
-    for _ in range(1, k1):
-        out.append(_pm_divmod([0] + out[-1], fct, p)[1])
-    return tuple(tuple(r) for r in out)
+    return _x_powers(residue_factor(p, k1), k1, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -618,15 +586,16 @@ def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
     """
     k, _ = _char_data(chi.modulus, chi.exponents)
     # residue of zeta_k^m: the p-power part drops to 1 and the tame part is
-    # x^(beta m) under the CRT normalisation used by build_tower.
+    # x^(beta m) under the CRT normalisation of PadicTower.zeta_power_columns.
     k1, beta = _tame_part(p, k)
     residues = _power_residues(p, k1)
+    zeros = (0,) * (len(residues[0]) - 1)
     m_mod = lcm(chi.modulus, p)
     for g, _o in unit_group_basis(m_mod).generators:
         m = eval_exponent(chi, g)
         if m is None:
             raise TheoremViolation(f"chi has no value at the unit {g} mod {m_mod}")
         # g is a unit mod p, so g^t mod p is a nonzero constant
-        if residues[m * beta % k1] != (pow(g, t, p),):
+        if residues[m * beta % k1] != (pow(g, t, p), *zeros):
             return False
     return True

@@ -12,18 +12,16 @@ and leave the judgement to the reader.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .bernoulli import bernoulli_number, l_value_at_zero, minus_class_number
 from .characters import (
     DirichletChar,
-    _char_data,
-    _dlog_table,
     char_eval,
+    conductor,
     enumerate_characters,
     is_odd,
     is_primitive,
@@ -40,7 +38,7 @@ from .errors import (
     NoOrderPCharacter,
     TheoremViolation,
 )
-from .nt import divisors, euler_phi, factorize, is_prime, primes_upto, valuation
+from .nt import euler_phi, factorize, is_prime, primes_upto, valuation
 from .padic import (
     N_START,
     build_tower,
@@ -208,31 +206,30 @@ def _check_count_law(records: list[VerdictRecord], f_max: int, primes: list[int]
 def root_of_unity_order(chi: DirichletChar) -> int:
     """Number of roots of unity in the field cut out by a primitive chi.
 
-    The field is the fixed field of ker(chi) inside the cyclotomic field of
-    conductor f, so zeta_n lives there for n | f exactly when every kernel
-    element is 1 mod n; -1 is always present, whence the lcm with 2 (which
-    also covers the divisors of 2f of the shape 2 * odd).  ker chi^j =
-    ker chi for j prime to the value order k, so the answer is computed
-    once per Galois orbit, keyed by the least weight vector in the orbit.
+    The field K is the fixed field of ker(chi) in Q(zeta_f); its characters
+    are the powers of chi, a cyclic group of order k.  So zeta_n (n | f) lies
+    in K exactly when the characters mod n form a subgroup of <chi>: when
+    (Z/n)^* is cyclic, phi(n) | k and chi^(k/phi(n)), which generates the
+    subgroup of order phi(n), has conductor dividing n.  Each prime q | f
+    contributes the largest power q^e | f that passes (only 4 for q = 2,
+    since (Z/2^e)^* is not cyclic for e >= 3), and -1 is always present,
+    whence the lcm with 2.
     """
     if not is_primitive(chi):
         raise ValueError("chi must be primitive")
-    k, weights = _char_data(chi.modulus, chi.exponents)
-    orbit = min(tuple(w * j % k for w in weights) for j in range(1, k + 1) if gcd(j, k) == 1)
-    return _orbit_root_of_unity_order(chi.modulus, k, orbit)
-
-
-@functools.lru_cache(maxsize=None)
-def _orbit_root_of_unity_order(f: int, k: int, weights: tuple[int, ...]) -> int:
-    """root_of_unity_order of the characters mod f with these weights on
-    the canonical generators (chi(g_i) = zeta_k^(w_i))."""
-    kernel = [a for a, exps in _dlog_table(f).items()
-              if sum(t * w for t, w in zip(exps, weights)) % k == 0]
+    f, k = chi.modulus, chi.value_order
     best = 1
-    for n in divisors(f):
-        if all(a % n == 1 for a in kernel):
-            best = max(best, n)
-    return best * 2 // gcd(best, 2)
+    for q, a in factorize(f).items():
+        if q == 2:
+            powers = [4] if a >= 2 else []
+        else:
+            powers = [q**e for e in range(a, 0, -1)]
+        for n in powers:
+            phi = euler_phi(n)
+            if k % phi == 0 and n % conductor(pow_char(chi, k // phi)) == 0:
+                best *= n
+                break
+    return lcm(2, best)
 
 
 @dataclass(frozen=True)

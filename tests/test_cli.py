@@ -433,3 +433,30 @@ def test_cache_env_variable(tmp_path):
         capture_output=True, text=True,
     )
     assert out.stdout == plain.stdout
+
+
+def test_cache_env_variable_attaches_once(tmp_path):
+    # the JSONL file is parsed on every attach, so a run attaches one time
+    script = textwrap.dedent("""
+        import sys
+        attached = []
+
+        def watch(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "attach":
+                if code.co_filename.endswith("cache.py"):
+                    attached.append(frame.f_locals["directory"])
+
+        sys.setprofile(watch)
+        from lzero.cli import main
+        code = main(["deligne-ribet", "--fmax", "20"])
+        sys.setprofile(None)
+        print(code, attached, file=sys.stderr)
+    """)
+    env = dict(os.environ, LZERO_CACHE_DIR=str(tmp_path))
+    for _ in range(2):  # a fresh directory, then one holding entries
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.splitlines()[-1] == f"0 {[str(tmp_path)]}"
+    assert (tmp_path / "b1chi.jsonl").stat().st_size > 0

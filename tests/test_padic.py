@@ -26,7 +26,15 @@ from lzero import (
 )
 from lzero import padic
 from lzero.cyclo import cyclotomic_poly
-from lzero.padic import _CyclicRing, _hensel_lift, _pm_divmod, _pm_mul, _pm_xgcd
+from lzero.padic import (
+    PadicElt,
+    _CyclicRing,
+    _eisenstein_poly,
+    _hensel_lift,
+    _pm_divmod,
+    _pm_mul,
+    _pm_xgcd,
+)
 from lzero.nt import euler_phi, multiplicative_order, valuation
 
 
@@ -44,7 +52,7 @@ def test_factor_degree_is_order_of_p():
 def test_factor_divides_cyclotomic_mod_p():
     for p, k1 in [(5, 4), (5, 6), (7, 4), (3, 8), (7, 12), (11, 21)]:
         fct = [c % p for c in residue_factor(p, k1)]
-        phi = [c % p for c in cyclotomic_poly(k1).coeffs]
+        phi = [c % p for c in cyclotomic_poly(k1)]
         # long division mod p; monic divisor so this is exact when it divides
         rem = list(phi)
         d = len(fct) - 1
@@ -193,7 +201,7 @@ def test_packed_power_reduced_mod_a_factor_matches_powmod(p, k):
     ring = _checked_ring(k, p)
     d = multiplicative_order(p, k)
     half = (p**d - 1) // 2
-    phi = [c % p for c in cyclotomic_poly(k).coeffs]
+    phi = [c % p for c in cyclotomic_poly(k)]
     for h in (list(_least_factor_by_sympy(p, k)), phi):
         for _ in range(5):
             r = padic._pm_trim([rng.randrange(p) for _ in range(len(h) - 1)])
@@ -222,10 +230,80 @@ def test_packed_power_reduced_mod_a_factor_matches_powmod(p, k):
 def test_tower_invariants(p, k, e, f):
     t = build_tower(p, k)
     assert (t.e_ram, t.f_res) == (e, f)
-    z = t.zeta_image()
-    assert (z ** k).mat == t.one().mat
+    z = _column_image(t, 1, 1)
+    one = _elt(t, {(0, 0): 1})
+    powers = [one]
+    for _ in range(k):
+        powers.append(powers[-1] * z)
+    assert powers[k].mat == one.mat
     for d in (m for m in range(1, k) if k % m == 0):
-        assert (z ** d).mat != t.one().mat
+        assert powers[d].mat != one.mat
+
+
+def _elt(tower, entries):
+    """The element of the tower with matrix entries {(j, i): c} (coefficient
+    of pi^j x^i), all others 0."""
+    mat = [[0] * tower.f_res for _ in range(tower.e_ram)]
+    for (j, i), c in entries.items():
+        mat[j][i] = c % tower.modulus
+    return PadicElt(tower, 0, tuple(map(tuple, mat)))
+
+
+def _column_image(tower, step, i):
+    """The image of zeta_k^(step i), read from the tower's column table."""
+    flat = [col[i] for col in tower.zeta_power_columns(step)]
+    f = tower.f_res
+    return PadicElt(tower, 0, tuple(tuple(flat[j : j + f]) for j in range(0, len(flat), f)))
+
+
+def _power(z, n):
+    acc = _elt(z.tower, {(0, 0): 1})
+    while n:
+        if n & 1:
+            acc = acc * z
+        z = z * z
+        n >>= 1
+    return acc
+
+
+def _zeta_reference(t):
+    """The image of zeta_k as (1 + pi)^alpha x^beta, multiplied out in the
+    tower: alpha k' = 1 mod p^a, beta p^a = 1 mod k', and x is the lifted
+    root of g when f = 1."""
+    pa = t.k // t.k_tame
+    x = _elt(t, {(0, 1): 1} if t.f_res > 1 else {(0, 0): -t.lifted_factor[0]})
+    one_pi = _elt(t, {(0, 0): 1, (1, 0): 1} if pa > 1 else {(0, 0): 1})
+    beta = pow(pa, -1, t.k_tame) if t.k_tame > 1 else 1
+    return _power(one_pi, pow(t.k_tame, -1, pa)) * _power(x, beta)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_power_columns_match_tower_products(p):
+    # the outer-product table against powers of zeta_k^step taken with the
+    # tower's own product, for every step dividing k
+    cases = 0
+    for k in range(1, 80):
+        for N in (1, 3, 16):
+            t = build_tower(p, k, N)
+            z = _zeta_reference(t)
+            for step in (s for s in range(1, k + 1) if k % s == 0):
+                xi = _power(z, step)
+                img = _elt(t, {(0, 0): 1})
+                for i in range(euler_phi(k // step)):
+                    assert _column_image(t, step, i).mat == img.mat, (k, N, step, i)
+                    img = img * xi
+                cases += 1
+    assert cases > 900
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (13, 1)])
+def test_eisenstein_poly_matches_sympy(p, a):
+    x = sympy.symbols("x")
+    phi = sympy.cyclotomic_poly(p**a, x).subs(x, x + 1)
+    want = [int(c) for c in reversed(sympy.Poly(sympy.expand(phi), x).all_coeffs())]
+    got = _eisenstein_poly(p, a)
+    assert list(got) == want
+    assert got[-1] == 1 and all(c % p == 0 for c in got[:-1]) and got[0] % p**2
 
 
 def _remainder(poly, monic, mod):
@@ -244,7 +322,7 @@ def test_hensel_factor_congruent_mod_p():
     t = build_tower(5, 20, 32)
     assert [c % 5 for c in t.lifted_factor] == [c % 5 for c in residue_factor(5, 4)]
     # and it still divides Phi_{k'} to the working precision
-    rem = _remainder(cyclotomic_poly(4).coeffs, t.lifted_factor, 5**32)
+    rem = _remainder(cyclotomic_poly(4), t.lifted_factor, 5**32)
     assert all(c == 0 for c in rem)
 
 
@@ -252,18 +330,18 @@ def _linear_hensel_reference(F, g_bar, p, N):
     """Lift g_bar | F mod p to p^N by N - 1 linear Hensel steps, one power
     of p at a time; each step solves G dh + H dg = (F - GH)/p^n mod p."""
     g = [c % p for c in g_bar]
-    if len(g) - 1 == F.degree:
-        return [c % p**N for c in F.coeffs]
-    h = _pm_divmod([c % p for c in F.coeffs], g, p)[0]
+    if len(g) == len(F):
+        return [c % p**N for c in F]
+    h = _pm_divmod([c % p for c in F], g, p)[0]
     s = _pm_xgcd(g, h, p)[1]  # s g = 1 mod (h, p)
     G, H = list(g), list(h)
     for n in range(1, N):
         mod, nxt = p**n, p ** (n + 1)
-        GH = [0] * len(F.coeffs)
+        GH = [0] * len(F)
         for i, x in enumerate(G):
             for j, y in enumerate(H):
                 GH[i + j] += x * y
-        diff = [(f - gh) % nxt for f, gh in zip(F.coeffs, GH)]
+        diff = [(f - gh) % nxt for f, gh in zip(F, GH)]
         assert all(c % mod == 0 for c in diff)
         E = [c // mod for c in diff]
         dh = _pm_divmod(_pm_mul(s, E, p), h, p)[1]
@@ -286,14 +364,14 @@ def test_newton_lift_matches_linear_reference(p):
             continue
         phi = cyclotomic_poly(k1)
         g = residue_factor(p, k1)
-        if len(g) - 1 == phi.degree:
+        if len(g) == len(phi):
             degenerate.append(k1)
         for N in HENSEL_PRECISIONS:
             G = _hensel_lift(phi, g, p, N)
             assert G == _linear_hensel_reference(phi, g, p, N), (k1, N)
             assert len(G) == len(g) and G[-1] == 1
             assert [c % p for c in G] == [c % p for c in g]
-            assert all(c == 0 for c in _remainder(phi.coeffs, G, p**N))
+            assert all(c == 0 for c in _remainder(phi, G, p**N))
     # p generates (Z/k')^* for some k' > 1, where the factor is Phi_{k'} itself
     assert [k1 for k1 in degenerate if k1 > 1]
 
@@ -378,13 +456,13 @@ def _horner_embed(z, tower):
     """Reference embedding: Horner's rule in the tower's own arithmetic."""
     p, pN = tower.p, tower.modulus
     s = valuation(z.den, p)
-    xi = tower.zeta_image() ** (tower.k // z.order)
-    acc = tower.from_int(0)
+    xi = _power(_zeta_reference(tower), tower.k // z.order)
+    acc = _elt(tower, {})
     for c in reversed(z.nums):
         mat = [list(r) for r in (acc * xi).mat]
         mat[0][0] = (mat[0][0] + c) % pN  # + c: the constant coefficient
-        acc = type(acc)(tower, 0, tuple(map(tuple, mat)))
-    acc = acc * tower.from_int(pow(z.den // p**s, -1, pN))
+        acc = PadicElt(tower, 0, tuple(map(tuple, mat)))
+    acc = acc * _elt(tower, {(0, 0): pow(z.den // p**s, -1, pN)})
     return s, acc.mat
 
 
@@ -411,7 +489,7 @@ def test_embedding_matches_horner_reference(p, k):
 
 def test_zero_element_valuation_is_above_precision():
     t = build_tower(5, 4)
-    assert padic_valuation(t.from_int(0)) is ABOVE_PRECISION
+    assert padic_valuation(_elt(t, {})) is ABOVE_PRECISION
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +580,10 @@ def test_place_restricts_coherently(p, k_small, k_big):
 def test_zeta_crt_normalisation():
     # zeta_k^(k') = 1 + pi and zeta_k^(p^a) = x in the bivariate model
     t = build_tower(3, 36)  # k' = 4, p^a = 9
-    z = t.zeta_image()
-    mat = [list(r) for r in t.from_int(0).mat]
-    mat[0][0] = 1
-    if t.e_ram > 1:
-        mat[1][0] = 1
-    assert (z ** 4).mat == tuple(tuple(r) for r in mat)
-    mat = [list(r) for r in t.from_int(0).mat]
-    if t.f_res > 1:
-        mat[0][1] = 1
-        assert (z ** 9).mat == tuple(tuple(r) for r in mat)
+    z = _column_image(t, 1, 1)
+    assert (t.e_ram, t.f_res) == (6, 2)
+    assert _power(z, 4).mat == _elt(t, {(0, 0): 1, (1, 0): 1}).mat
+    assert _power(z, 9).mat == _elt(t, {(0, 1): 1}).mat
 
 
 # ---------------------------------------------------------------------------
