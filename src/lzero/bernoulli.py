@@ -26,19 +26,27 @@ from lzero.characters import (
     is_primitive,
     is_trivial,
 )
-from lzero.cyclo import CycloElt, zeta_power_vector, phi_degree
+from lzero.cyclo import CycloElt
 from lzero.errors import ImprimitiveInput, NonIntegralResult, TheoremViolation
 from lzero.nt import is_prime, primes_upto
 
 _bernoulli_row: list[Fraction] = [Fraction(1)]
 
-_b1_cache = B1Cache(os.environ.get(CACHE_ENV_VAR) or None)
+_b1_cache: B1Cache | None = None  # bound on first use, see b1_cache()
 
 
 def set_cache_dir(directory: str | None) -> None:
     """Point the B_{1,chi} cache at a directory (None = memory only)."""
     global _b1_cache
     _b1_cache = B1Cache(directory)
+
+
+def b1_cache() -> B1Cache:
+    """The B_{1,chi} cache.  Unless set_cache_dir came first, the first call
+    binds it to the directory named by LZERO_CACHE_DIR, if that is set."""
+    if _b1_cache is None:
+        set_cache_dir(os.environ.get(CACHE_ENV_VAR) or None)
+    return _b1_cache
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -77,15 +85,7 @@ def _b1_sum(chi: DirichletChar) -> CycloElt:
             a = 1
         m = sum(t * w for t, w in zip(exps, weights)) % k
         buckets[m] += a
-    d = phi_degree(k)
-    vec = [0] * d
-    for m, total in enumerate(buckets):
-        if total:
-            row = zeta_power_vector(k, m)
-            for i in range(d):
-                if row[i]:
-                    vec[i] += total * row[i]
-    return CycloElt(k, vec, f)
+    return CycloElt.from_exponent_sums(k, buckets, f)
 
 
 def l_value_at_zero(chi: DirichletChar) -> LValueRecord:
@@ -97,7 +97,8 @@ def l_value_at_zero(chi: DirichletChar) -> LValueRecord:
         raise ImprimitiveInput(
             f"character mod {chi.modulus} has conductor < modulus; primitivize first"
         )
-    b1 = _b1_cache.get(chi.modulus, chi.exponents)
+    cache = b1_cache()
+    b1 = cache.get(chi.modulus, chi.exponents)
     if b1 is None:
         b1 = _b1_sum(chi)
         odd = is_odd(chi)
@@ -105,7 +106,7 @@ def l_value_at_zero(chi: DirichletChar) -> LValueRecord:
             raise TheoremViolation("B_{1,chi} of an odd character cannot vanish")
         if not odd and not b1.is_zero():
             raise TheoremViolation("B_{1,chi} of an even nontrivial character must vanish")
-        _b1_cache.put(chi.modulus, chi.exponents, b1)
+        cache.put(chi.modulus, chi.exponents, b1)
     return LValueRecord(chi, b1, -b1)
 
 
@@ -142,19 +143,16 @@ def irregular_pairs(p_max: int) -> list[tuple[int, int]]:
     """
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
-    small_primes = primes_upto(p_max + 2)  # headroom for the denominator check
+    primes = primes_upto(p_max)
     pairs = []
-    for p in primes_upto(p_max):
+    for p in primes:
         if p < 3:
             continue
         for k in range(2, p - 2, 2):
             bk = bernoulli_number(k)
             expected_den = 1
-            for q in small_primes:
+            for q in primes:  # (q - 1) | k <= p - 3 puts q below p_max
                 if k % (q - 1) == 0:
-                    expected_den *= q
-            for q in range(p_max + 3, k + 2):
-                if is_prime(q) and k % (q - 1) == 0:
                     expected_den *= q
             if bk.denominator != expected_den:
                 raise TheoremViolation(f"B_{k} denominator fails the von Staudt-Clausen check")

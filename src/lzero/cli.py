@@ -42,16 +42,16 @@ from .errors import (
     TheoremViolation,
 )
 from .nt import is_prime
-from .padic import N_CAP, N_START, TowerDescriptor, build_tower
+from .padic import N_CAP, N_START, TowerDescriptor
 from .scans import (
+    _odd_product_identity,
+    _pole_depths,
     deligne_ribet_check,
     deligne_ribet_scan,
     integrality_verdict,
     kummer_check,
     kummer_scan,
     nonintegral_locus_scan,
-    odd_product_identity_check,
-    pole_depth_check,
     residue_congruence_scan,
     twisted_pair_witness,
 )
@@ -336,29 +336,19 @@ def _cmd_deligne_ribet(args):
 
 def _cmd_remark2(args):
     _require_odd_prime(args.p)
-    rows = pole_depth_check(args.p, args.rmax, args.precision)
-    towers = _sorted_towers(
-        build_tower(args.p, DirichletChar(r.modulus, r.exponents).value_order,
-                    args.precision).descriptor()
-        for r in rows
-    )
-    return rows, towers, {"rows": len(rows)}, "ok"
+    rows, towers = _pole_depths(args.p, args.rmax, args.precision)
+    return rows, _sorted_towers(t.descriptor() for t in towers), {"rows": len(rows)}, "ok"
 
 
 def _cmd_star(args):
     _require_odd_prime(args.p)
-    rep = odd_product_identity_check(args.p, args.precision)
-    towers = _sorted_towers(
-        build_tower(args.p, DirichletChar(args.p, exps).value_order,
-                    args.precision).descriptor()
-        for exps, _v in rep.factors
-    )
+    rep, towers = _odd_product_identity(args.p, args.precision)
     summary = {
         "h_minus": rep.h_minus,
         "unique_pole": rep.unique_pole,
         "product_identity": rep.product_identity,
     }
-    return [rep], towers, summary, "ok"
+    return [rep], _sorted_towers(t.descriptor() for t in towers), summary, "ok"
 
 
 def _cmd_congruence(args):
@@ -487,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # lzero.bernoulli attached the cache named by the environment on import
+    # without --cache-dir, lzero.bernoulli binds the cache named by the
+    # environment on first use
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir:
         set_cache_dir(cache_dir)

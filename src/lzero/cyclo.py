@@ -128,6 +128,23 @@ class CycloElt:
         _, pows, _ = _ctx(order)
         return CycloElt(order, pows[power % order])
 
+    @staticmethod
+    def from_exponent_sums(order: int, sums, den: int = 1) -> CycloElt:
+        """(sum_m sums[m] zeta_order^m) / den for sums indexed by m < order,
+        reduced to the power basis.
+
+        >>> CycloElt.from_exponent_sums(4, [1, 2, 3, 4])
+        CycloElt(k=4, [-2, -2])
+        """
+        d, pows, _ = _ctx(order)
+        acc = [0] * d
+        for c, row in zip(sums, pows):
+            if c:
+                for t in range(d):
+                    if row[t]:
+                        acc[t] += c * row[t]
+        return CycloElt(order, acc, den)
+
     @classmethod
     def from_strings(cls, order: int, coords: list[str]) -> CycloElt:
         """Parse "n/d" coordinates (d > 0), as coord_strings writes them."""
@@ -174,15 +191,10 @@ class CycloElt:
 
     def _map_basis(self, order: int, step: int) -> CycloElt:
         """Image in Q(zeta_order) under zeta_k -> zeta_order^step."""
-        d, pows, _ = _ctx(order)
-        acc = [0] * d
+        sums = [0] * order
         for i, c in enumerate(self.nums):
-            if c:
-                row = pows[(i * step) % order]
-                for t in range(d):
-                    if row[t]:
-                        acc[t] += c * row[t]
-        return CycloElt(order, acc, self.den)
+            sums[i * step % order] += c
+        return CycloElt.from_exponent_sums(order, sums, self.den)
 
     def embed_into(self, big_order: int) -> CycloElt:
         """Image in Q(zeta_K) under zeta_k = zeta_K^(K/k); needs k | K."""
@@ -233,12 +245,8 @@ class CycloElt:
         if other is None:
             return NotImplemented
         a, b = CycloElt._merge(self, other)
-        d, _, mulrows = _ctx(a.order)
-        if d == 1:
-            prod = [a.nums[0] * b.nums[0]]
-        else:
-            prod = poly_mul_reduce(a.nums, b.nums, mulrows)
-        return CycloElt(a.order, prod, a.den * b.den)
+        mulrows = _ctx(a.order)[2]
+        return CycloElt(a.order, poly_mul_reduce(a.nums, b.nums, mulrows), a.den * b.den)
 
     def __pow__(self, n: int) -> CycloElt:
         if n < 0:
@@ -272,11 +280,6 @@ class CycloElt:
         return a.nums == b.nums and a.den == b.den
 
     __hash__ = None  # merged-order equality is not hash-compatible
-
-
-def zeta_power_vector(k: int, m: int) -> tuple[int, ...]:
-    """Integer coordinates of zeta_k^m on the power basis (reduced)."""
-    return _ctx(k)[1][m % k]
 
 
 def phi_degree(k: int) -> int:

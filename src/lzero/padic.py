@@ -31,7 +31,10 @@ subfield, so residues are comparable across towers sharing the same k'.
 So zeta_k = (1 + pi)^alpha x^beta with alpha k' = 1 mod p^a and
 beta p^a = 1 mod k' is a pure tensor, and so is each of its powers: the
 image of zeta_k^m is the outer product U[alpha m mod p^a] (x) V[beta m mod k']
-of a row of U[n] = (1 + pi)^n mod E and a row of V[m] = x^m mod g.  Every
+of a row of U[n] = (1 + pi)^n mod E and a row of V[m] = x^m mod g.  Each
+tower keeps one table, the images of zeta_k^0, ..., zeta_k^(phi(k) - 1);
+an element of a subfield Q(zeta_m) is first rewritten in Q(zeta_k)
+(CycloElt.embed_into), so every embedding reads that table.  Every
 power table (U, V, the reduction rows of g and E, the residues x^e mod the
 chosen factor) is built by one step: multiply by x modulo a monic
 polynomial and a modulus.
@@ -48,7 +51,7 @@ from operator import mul
 from lzero._kernels import tower_mul
 from lzero.characters import DirichletChar, eval_exponent, unit_group_basis, _char_data
 from lzero.cyclo import CycloElt, cyclotomic_poly
-from lzero.errors import IncompatibleOrders, PrecisionExhausted, TheoremViolation
+from lzero.errors import PrecisionExhausted, TheoremViolation
 from lzero.nt import euler_phi, factorize, is_prime, multiplicative_order, valuation
 
 N_START = 16
@@ -358,7 +361,6 @@ class PadicTower:
     lifted_factor: tuple[int, ...]       # monic divisor of Phi_{k'} mod p^N
     _grows: tuple = field(repr=False, compare=False, default=())
     _erows: tuple = field(repr=False, compare=False, default=())
-    _power_columns: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def modulus(self) -> int:
@@ -377,47 +379,42 @@ class PadicTower:
             "factor": list(self.lifted_factor),
         })
 
-    def zeta_power_columns(self, step: int) -> tuple:
-        """The images of xi^0, ..., xi^(phi(k/step) - 1) for xi = zeta_k^step,
-        stored by column: one tuple per matrix entry (row-major), holding that
-        entry of every image.  Built on first use and kept with the tower.
+    @functools.cached_property
+    def zeta_power_columns(self) -> tuple:
+        """The images of zeta_k^0, ..., zeta_k^(phi(k) - 1), stored by
+        column: one tuple per matrix entry (row-major), holding that entry of
+        every image.  Built on first use and kept with the tower.
 
         The image of zeta_k^m is the outer product of U[alpha m mod p^a]
         (the pi-row of (1 + pi)^(alpha m)) and V[beta m mod k'] (the x-row
         of x^(beta m)); x^k' = 1 mod g and (1 + pi)^(p^a) = 1 mod E.
         """
-        cols = self._power_columns.get(step)
-        if cols is None:
-            p, pN = self.p, self.modulus
-            k1, beta = _tame_part(p, self.k)
-            pa = self.k // k1
-            alpha = pow(k1, -1, pa)
-            v = _x_powers(self.lifted_factor, k1, pN)
-            eis = _eisenstein_poly(p, self.wild_exp)
-            u = [(1,) + (0,) * (self.e_ram - 1)]
-            for _ in range(pa - 1):
-                u.append(tuple((c + d) % pN for c, d in zip(u[-1], _times_x(u[-1], eis, pN))))
-            ms = [m * step for m in range(euler_phi(self.k // step))]
-            us = [u[alpha * m % pa] for m in ms]
-            vs = [v[beta * m % k1] for m in ms]
-            cols = tuple(
-                tuple(ui[j] * vi[l] % pN for ui, vi in zip(us, vs))
-                for j in range(self.e_ram)
-                for l in range(self.f_res)
-            )
-            self._power_columns[step] = cols
-        return cols
+        p, pN = self.p, self.modulus
+        k1, beta = _tame_part(p, self.k)
+        pa = self.k // k1
+        alpha = pow(k1, -1, pa)
+        v = _x_powers(self.lifted_factor, k1, pN)
+        eis = _eisenstein_poly(p, self.wild_exp)
+        u = [(1,) + (0,) * (self.e_ram - 1)]
+        for _ in range(pa - 1):
+            u.append(tuple((c + d) % pN for c, d in zip(u[-1], _times_x(u[-1], eis, pN))))
+        ms = range(euler_phi(self.k))
+        us = [u[alpha * m % pa] for m in ms]
+        vs = [v[beta * m % k1] for m in ms]
+        return tuple(
+            tuple(ui[j] * vi[l] % pN for ui, vi in zip(us, vs))
+            for j in range(self.e_ram)
+            for l in range(self.f_res)
+        )
 
 
 @functools.lru_cache(maxsize=None)
 def build_tower(p: int, k: int, precision: int = N_START) -> PadicTower:
     """Construct (and cache) the local model for (p, k) at precision p^N."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
     if k < 1 or precision < 1:
         raise ValueError("k and precision must be positive")
-    a = factorize(k).get(p, 0)
-    k1 = k // p**a
+    k1, _beta = _tame_part(p, k)
+    a = valuation(k // k1, p)
     g_N = _hensel_lift(cyclotomic_poly(k1), residue_factor(p, k1), p, precision)
     eis = _eisenstein_poly(p, a)
     f_res, e_ram = len(g_N) - 1, len(eis) - 1
@@ -451,15 +448,14 @@ class PadicElt:
 def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
     """The image of z under the fixed embedding; z.order must divide k.
 
-    The embedding is Z-linear: with z = (sum_i n_i xi^i) / den on the power
-    basis of xi = zeta_k^(k/z.order), each matrix entry of the image is
-    sum_i n_i img(xi^i) mod p^N, scaled by the inverse of den's p-free part;
-    den's p-part becomes the shift.  The images img(xi^i) come from the
-    tower's cached table (PadicTower.zeta_power_columns).
+    z is first rewritten in Q(zeta_k) (CycloElt.embed_into).  The embedding
+    is Z-linear: with z = (sum_i n_i zeta_k^i) / den, each matrix entry of
+    the image is sum_i n_i img(zeta_k^i) mod p^N, scaled by the inverse of
+    den's p-free part; den's p-part becomes the shift.  The images
+    img(zeta_k^i) come from the tower's one table
+    (PadicTower.zeta_power_columns).
     """
-    k = tower.k
-    if k % z.order:
-        raise IncompatibleOrders(f"order {z.order} does not divide tower order {k}")
+    z = z.embed_into(tower.k)
     p, pN, N = tower.p, tower.modulus, tower.precision
     s = valuation(z.den, p) if z.den % p == 0 else 0
     if s >= N:
@@ -467,10 +463,7 @@ def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
             f"denominator p-exponent {s} consumes the precision budget N={N}"
         )
     inv_unit = pow(z.den // p**s, -1, pN)
-    flat = [
-        sum(map(mul, z.nums, col)) * inv_unit % pN
-        for col in tower.zeta_power_columns(k // z.order)
-    ]
+    flat = [sum(map(mul, z.nums, col)) * inv_unit % pN for col in tower.zeta_power_columns]
     f = tower.f_res
     mat = tuple(tuple(flat[j : j + f]) for j in range(0, len(flat), f))
     return PadicElt(tower, s, mat)
@@ -479,12 +472,12 @@ def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
 def padic_valuation(elt: PadicElt):
     """Exact valuation (v(p) = 1) or ABOVE_PRECISION if elt = 0 mod p^N."""
     t = elt.tower
-    p, e = t.p, t.e_ram
+    p, e, pN = t.p, t.e_ram, t.modulus
     best = None  # min_j e v(c_j) + j, an integer
     for j, row in enumerate(elt.mat):
         vmin = None
         for c in row:
-            c %= t.modulus
+            c %= pN
             if c:
                 v = valuation(c, p)
                 if vmin is None or v < vmin:
@@ -569,7 +562,8 @@ def _power_residues(p: int, k1: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _tame_part(p: int, k: int) -> tuple[int, int]:
-    """(k', beta) for k = p^a k': zeta_k^m reduces to x^(beta m mod k')."""
+    """The tame split (k', beta) of k = p^a k', beta p^a = 1 mod k', for an
+    odd prime p: zeta_k^m reduces to x^(beta m mod k')."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     a_wild = factorize(k).get(p, 0)
@@ -586,7 +580,7 @@ def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
     """
     k, _ = _char_data(chi.modulus, chi.exponents)
     # residue of zeta_k^m: the p-power part drops to 1 and the tame part is
-    # x^(beta m) under the CRT normalisation of PadicTower.zeta_power_columns.
+    # x^(beta m), as in the table PadicTower.zeta_power_columns.
     k1, beta = _tame_part(p, k)
     residues = _power_residues(p, k1)
     zeros = (0,) * (len(residues[0]) - 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bernoulli import bernoulli_number, l_value_at_zero, minus_class_number
+from .bernoulli import b1_cache, bernoulli_number, l_value_at_zero, minus_class_number
 from .characters import (
     DirichletChar,
     char_eval,
@@ -41,6 +41,8 @@ from .errors import (
 from .nt import euler_phi, factorize, is_prime, primes_upto, valuation
 from .padic import (
     N_START,
+    PadicTower,
+    _tame_part,
     build_tower,
     char_is_omega_power_mod_p,
     cyclo_valuation,
@@ -157,6 +159,7 @@ def nonintegral_locus_scan(
     primes = [p for p in primes_upto(p_max) if p > 2]
     tasks = [(c.modulus, c.exponents, p, n_start) for p in primes for c in chars]
     if jobs > 1:
+        b1_cache()  # bound before the fork, so the workers share one attach
         chunk = max(1, len(tasks) // (4 * jobs))
         with multiprocessing.Pool(jobs) as pool:
             records = pool.map(_verdict_task, tasks, chunksize=chunk)
@@ -338,9 +341,15 @@ def pole_depth_check(p: int, r_max: int, n_start: int = N_START) -> list[PoleDep
     with v = -1/phi(p^(r-1)).  Both the counts and the depths are proved,
     so any mismatch raises ClassificationViolation.
     """
+    return _pole_depths(p, r_max, n_start)[0]
+
+
+def _pole_depths(p: int, r_max: int, n_start: int) -> tuple[list[PoleDepthRow], list[PadicTower]]:
+    """pole_depth_check's rows and the towers their valuations were taken in."""
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     rows = []
+    towers = []
     for r in range(1, r_max + 1):
         members = [
             chi
@@ -355,15 +364,16 @@ def pole_depth_check(p: int, r_max: int, n_start: int = N_START) -> list[PoleDep
             )
         want_v = expected_pole_depth(p, r)
         for chi in members:
-            got = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)[0]
+            got, tower, _image = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)
             equal = got == want_v
             rows.append(PoleDepthRow(chi.modulus, chi.exponents, p, want_v, got, equal))
+            towers.append(tower)
             if not equal:
                 raise ClassificationViolation(
                     f"chi mod {chi.modulus} {chi.exponents}: pole depth {got}, "
                     f"expected {want_v}"
                 )
-    return rows
+    return rows, towers
 
 
 @dataclass(frozen=True)
@@ -384,12 +394,19 @@ def odd_product_identity_check(p: int, n_start: int = N_START) -> ProductIdentit
     factor must be integral at the place.  The valuations must also book
     against the integer product: their sum is v_p(h_minus) - 1.
     """
+    return _odd_product_identity(p, n_start)[0]
+
+
+def _odd_product_identity(p: int, n_start: int) -> tuple[ProductIdentityReport, list[PadicTower]]:
+    """odd_product_identity_check's report and its factors' towers."""
     h = minus_class_number(p)
     factors = []
+    towers = []
     poles = []
     for chi in enumerate_characters(p, primitive_only=True, parity="odd"):
-        v = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)[0]
+        v, tower, _image = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)
         factors.append((chi.exponents, v))
+        towers.append(tower)
         if v < 0:
             poles.append((chi, v))
             if v != -1:
@@ -413,7 +430,7 @@ def odd_product_identity_check(p: int, n_start: int = N_START) -> ProductIdentit
         factors=tuple(factors),
         unique_pole=True,
         product_identity=True,
-    )
+    ), towers
 
 
 def _truncated_residue(
@@ -445,14 +462,8 @@ def straightened_character(chi: DirichletChar, p: int) -> DirichletChar:
     place iff they straighten to the same character.
     """
     k = chi.value_order
-    a = valuation(k, p)
-    pa = p**a
-    k1 = k // pa
-    if k1 == 1:
-        m = 0
-    else:
-        m = pa * pow(pa, -1, k1) % k
-    return primitivize(pow_char(chi, m))
+    k1, beta = _tame_part(p, k)
+    return primitivize(pow_char(chi, k // k1 * beta % k))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzero import ClassificationViolation, __version__, build_tower
+from lzero import (
+    ClassificationViolation,
+    DirichletChar,
+    __version__,
+    build_tower,
+    cyclo_valuation,
+    l_value_at_zero,
+)
 from lzero import cli
 from lzero.cli import _JsonWriter, _emit, build_parser, main
 
@@ -120,6 +127,26 @@ def test_star(capsys):
     doc = json.loads(out)
     assert doc["summary"]["h_minus"] == 37
     assert doc["summary"]["product_identity"] is True
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["remark2", "-p", "3", "--rmax", "2"], [(2, 2), (6, 2)]),
+    (["star", "-p", "5"], [(4, 2)]),
+], ids=["remark2", "star"])
+def test_towers_are_those_the_ladder_used(argv, want, capsys):
+    # at --precision 1 the ladder judges these L-values at N = 2, and the
+    # envelope lists the towers (k, N) they were judged in
+    code, out, _ = run_cli([*argv, "--precision", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    p = doc["params"]["p"]
+    assert doc["towers"] == [build_tower(p, k, n).descriptor() for k, n in want]
+    for rec in doc["records"]:
+        chars = ([(5, exps) for exps, _v in rec["factors"]] if "factors" in rec
+                 else [(rec["modulus"], rec["exponents"])])
+        for f, exps in chars:
+            lv = l_value_at_zero(DirichletChar(f, tuple(exps))).l_at_zero
+            assert cyclo_valuation(lv, p, 1)[1].precision == 2
 
 
 def test_congruence(capsys):
@@ -435,28 +462,50 @@ def test_cache_env_variable(tmp_path):
     assert out.stdout == plain.stdout
 
 
+_WATCH_ATTACH = textwrap.dedent("""
+    import sys
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "attach":
+            if code.co_filename.endswith("cache.py"):
+                print("attach", frame.f_locals["directory"], file=sys.stderr, flush=True)
+
+    sys.setprofile(watch)
+    import lzero
+    print("imported", file=sys.stderr, flush=True)
+    from lzero.cli import main
+    code = main(sys.argv[1:])
+    sys.setprofile(None)
+    print("exit", code, file=sys.stderr)
+""")
+
+
+def _attaches(argv, env):
+    """The directories B1Cache.attach was called on, in the parent and in
+    any forked worker, for one CLI run; checks that importing lzero binds no
+    cache and that the run exits 0."""
+    out = subprocess.run([sys.executable, "-c", _WATCH_ATTACH, *argv],
+                         capture_output=True, text=True, env=env)
+    lines = out.stderr.splitlines()
+    assert lines[-1] == "exit 0", out.stderr
+    assert lines[0] == "imported", out.stderr
+    return [line.split(" ", 1)[1] for line in lines if line.startswith("attach ")]
+
+
 def test_cache_env_variable_attaches_once(tmp_path):
     # the JSONL file is parsed on every attach, so a run attaches one time
-    script = textwrap.dedent("""
-        import sys
-        attached = []
-
-        def watch(frame, event, arg):
-            code = frame.f_code
-            if event == "call" and code.co_name == "attach":
-                if code.co_filename.endswith("cache.py"):
-                    attached.append(frame.f_locals["directory"])
-
-        sys.setprofile(watch)
-        from lzero.cli import main
-        code = main(["deligne-ribet", "--fmax", "20"])
-        sys.setprofile(None)
-        print(code, attached, file=sys.stderr)
-    """)
-    env = dict(os.environ, LZERO_CACHE_DIR=str(tmp_path))
+    env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+    env = dict(os.environ, LZERO_CACHE_DIR=str(env_dir))
     for _ in range(2):  # a fresh directory, then one holding entries
-        out = subprocess.run([sys.executable, "-c", script],
-                             capture_output=True, text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        assert out.stderr.splitlines()[-1] == f"0 {[str(tmp_path)]}"
-    assert (tmp_path / "b1chi.jsonl").stat().st_size > 0
+        assert _attaches(["deligne-ribet", "--fmax", "20"], env) == [str(env_dir)]
+    assert (env_dir / "b1chi.jsonl").stat().st_size > 0
+    # --cache-dir wins, and the directory the environment names is never opened
+    for _ in range(2):
+        argv = ["deligne-ribet", "--fmax", "20", "--cache-dir", str(flag_dir)]
+        assert _attaches(argv, env) == [str(flag_dir)]
+    assert (flag_dir / "b1chi.jsonl").stat().st_size > 0
+    # the scan binds the cache before it forks, so no worker attaches again
+    for _ in range(2):
+        argv = ["prop1", "--fmax", "12", "--pmax", "5", "--jobs", "2"]
+        assert _attaches(argv, env) == [str(env_dir)]

@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic against sympy/mpmath oracles and field axioms."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from lzero import CycloElt, IncompatibleOrders, cyclotomic_poly
-from lzero.cyclo import phi_degree, zeta_power_vector
+from lzero.cyclo import phi_degree
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +122,18 @@ def test_from_strings_rejects_malformed(coords):
         CycloElt.from_strings(1, coords)
 
 
-def test_zeta_power_vector_matches_zeta():
-    for k in (7, 8, 9, 12):
-        for m in range(2 * k):
-            assert CycloElt(k, zeta_power_vector(k, m)) == CycloElt.zeta(k, m)
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 12, 15, 36])
+def test_from_exponent_sums_matches_zeta_sum(k):
+    rng = random.Random(k)
+    for m in range(k):  # one exponent: zeta_k^m itself
+        assert CycloElt.from_exponent_sums(k, [int(i == m) for i in range(k)]) == CycloElt.zeta(k, m)
+    for _ in range(20):
+        sums = [rng.choice([0, 0, rng.randrange(-50, 51)]) for _ in range(k)]
+        den = rng.choice([1, 2, 6, 35, 10**12])
+        want = CycloElt.zero(k)
+        for m, c in enumerate(sums):
+            want = want + CycloElt.zeta(k, m) * c
+        assert CycloElt.from_exponent_sums(k, sums, den) == want * Fraction(1, den)
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,19 @@ def test_forced_false_theorem_check_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "B_{1,chi} of an odd character cannot vanish\n"
+
+
+def test_acceptance_suite_passes_under_optimize():
+    # every acceptance criterion must still hold with -O; pytest rewrites the
+    # test files' own asserts, so they still fail when they should
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LZERO_")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        cwd=SRC.parent.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

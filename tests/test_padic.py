@@ -230,7 +230,7 @@ def test_packed_power_reduced_mod_a_factor_matches_powmod(p, k):
 def test_tower_invariants(p, k, e, f):
     t = build_tower(p, k)
     assert (t.e_ram, t.f_res) == (e, f)
-    z = _column_image(t, 1, 1)
+    z = _column_image(t, 1)
     one = _elt(t, {(0, 0): 1})
     powers = [one]
     for _ in range(k):
@@ -249,9 +249,9 @@ def _elt(tower, entries):
     return PadicElt(tower, 0, tuple(map(tuple, mat)))
 
 
-def _column_image(tower, step, i):
-    """The image of zeta_k^(step i), read from the tower's column table."""
-    flat = [col[i] for col in tower.zeta_power_columns(step)]
+def _column_image(tower, i):
+    """The image of zeta_k^i, read from the tower's column table."""
+    flat = [col[i] for col in tower.zeta_power_columns]
     f = tower.f_res
     return PadicElt(tower, 0, tuple(tuple(flat[j : j + f]) for j in range(0, len(flat), f)))
 
@@ -279,7 +279,8 @@ def _zeta_reference(t):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_power_columns_match_tower_products(p):
-    # the outer-product table against powers of zeta_k^step taken with the
+    # the embedding of each power of zeta_(k/step), read through the
+    # tower's one table, against powers of zeta_k^step taken with the
     # tower's own product, for every step dividing k
     cases = 0
     for k in range(1, 80):
@@ -290,7 +291,8 @@ def test_power_columns_match_tower_products(p):
                 xi = _power(z, step)
                 img = _elt(t, {(0, 0): 1})
                 for i in range(euler_phi(k // step)):
-                    assert _column_image(t, step, i).mat == img.mat, (k, N, step, i)
+                    got = embed_padic(CycloElt.zeta(k // step, i), t)
+                    assert (got.shift, got.mat) == (0, img.mat), (k, N, step, i)
                     img = img * xi
                 cases += 1
     assert cases > 900
@@ -475,7 +477,7 @@ def test_embedding_matches_horner_reference(p, k):
     shifted = 0
     for trial in range(50):
         # every other element lives in the full field; the rest in a proper
-        # subfield, which uses the table of zeta_k^step with step > 1
+        # subfield, which is rewritten in Q(zeta_k) first
         order = k if trial % 2 else rng.choice(orders[:-1])
         qs = [Fraction(rng.randrange(-99, 100), rng.choice(dens))
               for _ in range(euler_phi(order))]
@@ -580,7 +582,7 @@ def test_place_restricts_coherently(p, k_small, k_big):
 def test_zeta_crt_normalisation():
     # zeta_k^(k') = 1 + pi and zeta_k^(p^a) = x in the bivariate model
     t = build_tower(3, 36)  # k' = 4, p^a = 9
-    z = _column_image(t, 1, 1)
+    z = _column_image(t, 1)
     assert (t.e_ram, t.f_res) == (6, 2)
     assert _power(z, 4).mat == _elt(t, {(0, 0): 1, (1, 0): 1}).mat
     assert _power(z, 9).mat == _elt(t, {(0, 1): 1}).mat

@@ -376,20 +376,19 @@ def test_congruence_scan_quad3_pair_present():
 
 
 def test_congruence_scan_embeds_each_value_once(monkeypatch):
-    # every embed reads the tower's power table once; the residue of a
-    # value must reuse the image its valuation was judged on
+    # the residue of a value must reuse the image its valuation was judged on
     calls = {"embeds": 0, "values": 0}
-    table, ladder = padic.PadicTower.zeta_power_columns, scans.cyclo_valuation
+    embed, ladder = padic.embed_padic, scans.cyclo_valuation
 
-    def counting_table(tower, step):
+    def counting_embed(*args, **kwargs):
         calls["embeds"] += 1
-        return table(tower, step)
+        return embed(*args, **kwargs)
 
     def counting_ladder(*args, **kwargs):
         calls["values"] += 1
         return ladder(*args, **kwargs)
 
-    monkeypatch.setattr(padic.PadicTower, "zeta_power_columns", counting_table)
+    monkeypatch.setattr(padic, "embed_padic", counting_embed)
     monkeypatch.setattr(scans, "cyclo_valuation", counting_ladder)
     rep = residue_congruence_scan(33, 5)
     assert calls["values"] == 2 * len(rep.pairs) > 0
