@@ -78,11 +78,8 @@ def _b1_sum(chi: DirichletChar) -> CycloElt:
     """(1/f) sum a*chi(a), accumulated per character value to stay integer."""
     f = chi.modulus
     k, weights = _char_data(chi.modulus, chi.exponents)
-    table = _dlog_table(f)
     buckets = [0] * k
-    for a, exps in table.items():
-        if a == 0 and f == 1:
-            a = 1
+    for a, exps in _dlog_table(f).items():
         m = sum(t * w for t, w in zip(exps, weights)) % k
         buckets[m] += a
     return CycloElt.from_exponent_sums(k, buckets, f)
@@ -116,7 +113,7 @@ def minus_class_number(p: int) -> int:
     Uses h_minus = p * 2^(-(p-3)/2) * prod_{chi odd mod p} L(0, chi), and
     cross-checks the equivalent form 2p * prod (-B_{1,chi} / 2).
     """
-    if p < 3 or not is_prime(p) or p == 2:
+    if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     odd_chars = enumerate_characters(p, parity="odd")
     prod = CycloElt.one()

@@ -84,7 +84,9 @@ class _JsonWriter:
     Records are read where they stand: dataclass fields in place, dict keys
     as ``str(key)``, tuples as lists and a Fraction as its "a/b" string; any
     other type raises TypeError.  A tower descriptor is rendered once per
-    (p, k, precision) and indentation, and its text reused.
+    (p, k, precision) and indentation, and its text reused.  Not
+    ``json.JSONEncoder(sort_keys=True, indent=2).iterencode``: an indent runs
+    the pure-Python encoder, 0.5 s of CPU against 0.1 s on the scan envelope.
     """
 
     def __init__(self, compact: bool = False):
@@ -401,14 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
-    def common(sp, *, precision=True, fmt=True, cache=True):
+    def common(sp, *, precision=True, cache=True):
         if precision:
             sp.add_argument("--precision", type=_precision, default=N_START, metavar="N",
                             help=f"starting p-adic working precision, 1..{N_CAP} "
                                  f"(default {N_START})")
-        if fmt:
-            sp.add_argument("--format", choices=("json", "csv"), default="json",
-                            help="output format (default json; csv drops nesting)")
+        sp.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="output format (default json; csv drops nesting)")
         if cache:
             sp.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="directory for the JSONL B1 cache "

@@ -6,6 +6,9 @@ over one positive denominator in lowest terms.  The power basis generates
 the full ring of integers Z[zeta_k], so an element is an algebraic integer
 exactly when its denominator is 1.
 
+Any sum_m c_m zeta_k^m reaches that basis by long division by the monic
+Phi_k (_reduce), so an order holds O(phi(k)) integers until its first product.
+
 Mixed-order arithmetic merges both operands into Q(zeta_lcm) via the
 compatible system zeta_d = zeta_K^(K/d) for d | K.
 """
@@ -55,28 +58,35 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _ctx(k: int):
-    """Per-order tables: phi(k), monomial reductions, and multiply rows.
-
-    pows[m] expands x^m mod Phi_k on the power basis for 0 <= m <= M where
-    M = max(k - 1, 2 phi(k) - 2); mulrows is the slice used to reduce a raw
-    degree-(2d-2) product.
-    """
+    """phi(k) and the nonzero coefficients (i, c) of Phi_k below x^phi(k)."""
     phi = cyclotomic_poly(k)
-    d = len(phi) - 1
-    low = phi[:d]
-    top = max(k - 1, 2 * d - 2)
-    pows: list[tuple[int, ...]] = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(top + 1):
-        pows.append(tuple(cur))
-        carry = cur[d - 1]
-        cur = [0] + cur[: d - 1]
-        if carry:
-            for i in range(d):
-                cur[i] -= carry * low[i]
-    mulrows = tuple(pows[d : 2 * d - 1])
-    return d, tuple(pows), mulrows
+    return len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(k: int, coeffs) -> list[int]:
+    """sum_m coeffs[m] x^m mod Phi_k on the power basis, by long division
+    from the top coefficient down."""
+    d, low = _ctx(k)
+    rem = list(coeffs) + [0] * (d - len(coeffs))
+    for s in range(len(rem) - 1 - d, -1, -1):  # x^(s+d) = x^s (x^d - Phi_k)
+        c = rem[s + d]
+        if c:
+            for i, a in low:
+                rem[s + i] -= c * a
+    return rem[:d]
+
+
+@functools.lru_cache(maxsize=None)
+def _mulrows(k: int) -> tuple[tuple[int, ...], ...]:
+    """x^d, ..., x^(2d-2) mod Phi_k for d = phi(k), the rows poly_mul_reduce
+    reads; each is one division step from the one before."""
+    d = _ctx(k)[0]
+    row = [0] * (d - 1) + [1]
+    rows = []
+    for _ in range(d - 1):
+        row = _reduce(k, [0] + row)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class CycloElt:
@@ -118,15 +128,12 @@ class CycloElt:
     @staticmethod
     def rational(q, order: int = 1) -> CycloElt:
         q = Fraction(q)
-        nums = [0] * _ctx(order)[0]
-        nums[0] = q.numerator
-        return CycloElt(order, nums, q.denominator)
+        return CycloElt(order, _reduce(order, [q.numerator]), q.denominator)
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> CycloElt:
         """zeta_order^power."""
-        _, pows, _ = _ctx(order)
-        return CycloElt(order, pows[power % order])
+        return CycloElt(order, _reduce(order, [0] * (power % order) + [1]))
 
     @staticmethod
     def from_exponent_sums(order: int, sums, den: int = 1) -> CycloElt:
@@ -136,14 +143,7 @@ class CycloElt:
         >>> CycloElt.from_exponent_sums(4, [1, 2, 3, 4])
         CycloElt(k=4, [-2, -2])
         """
-        d, pows, _ = _ctx(order)
-        acc = [0] * d
-        for c, row in zip(sums, pows):
-            if c:
-                for t in range(d):
-                    if row[t]:
-                        acc[t] += c * row[t]
-        return CycloElt(order, acc, den)
+        return CycloElt(order, _reduce(order, sums), den)
 
     @classmethod
     def from_strings(cls, order: int, coords: list[str]) -> CycloElt:
@@ -245,8 +245,8 @@ class CycloElt:
         if other is None:
             return NotImplemented
         a, b = CycloElt._merge(self, other)
-        mulrows = _ctx(a.order)[2]
-        return CycloElt(a.order, poly_mul_reduce(a.nums, b.nums, mulrows), a.den * b.den)
+        rows = _mulrows(a.order)
+        return CycloElt(a.order, poly_mul_reduce(a.nums, b.nums, rows), a.den * b.den)
 
     def __pow__(self, n: int) -> CycloElt:
         if n < 0:
@@ -283,5 +283,5 @@ class CycloElt:
 
 
 def phi_degree(k: int) -> int:
-    """phi(k), the degree of Q(zeta_k); table-backed."""
+    """phi(k), the degree of Q(zeta_k)."""
     return _ctx(k)[0]

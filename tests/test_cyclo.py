@@ -1,14 +1,19 @@
 """Exact cyclotomic arithmetic against sympy/mpmath oracles and field axioms."""
 
+import functools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.densearith import dup_rem
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.domains import ZZ
 
-from lzero import CycloElt, IncompatibleOrders, cyclotomic_poly
+from lzero import CycloElt, DirichletChar, IncompatibleOrders, bernoulli, cyclo, cyclotomic_poly
 from lzero.cyclo import phi_degree
 
 
@@ -134,6 +139,67 @@ def test_from_exponent_sums_matches_zeta_sum(k):
         for m, c in enumerate(sums):
             want = want + CycloElt.zeta(k, m) * c
         assert CycloElt.from_exponent_sums(k, sums, den) == want * Fraction(1, den)
+
+
+# ---------------------------------------------------------------------------
+# reduction to the power basis against sympy's polynomial remainder
+
+# Phi_105 is the first cyclotomic polynomial with a coefficient outside
+# {-1, 0, 1} (a -2); 385, 1155 and 2002 have three or four odd prime factors.
+_REDUCTION_ORDERS = list(range(1, 61)) + [105, 210, 385, 1155, 2002]
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_phi(k):
+    """Phi_k as sympy's dense list over ZZ, highest degree first."""
+    x = sympy.symbols("x")
+    return [int(c) for c in sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()]
+
+
+def _sympy_rem(dense, k):
+    """sympy's remainder of a dense polynomial (highest degree first) by Phi_k,
+    as phi(k) ascending coefficients."""
+    out = [int(c) for c in reversed(dup_rem(dense, _sympy_phi(k), ZZ))]
+    return out + [0] * (phi_degree(k) - len(out))
+
+
+@pytest.mark.parametrize("k", _REDUCTION_ORDERS)
+def test_from_exponent_sums_matches_sympy_rem(k):
+    rng = random.Random(1000 + k)
+    d = phi_degree(k)
+    for n in (rng.randrange(d), rng.randrange(d), k, k):  # shorter than phi(k), or k long
+        sums = [rng.choice([0, rng.randrange(-10**6, 10**6)]) for _ in range(n)]
+        dense = dup_strip([ZZ(c) for c in reversed(sums)])
+        assert list(CycloElt.from_exponent_sums(k, sums).nums) == _sympy_rem(dense, k)
+
+
+@pytest.mark.parametrize("k", _REDUCTION_ORDERS)
+def test_zeta_and_mulrows_match_sympy_powers(k):
+    """zeta_k^m for every m < 2k, and the d - 1 product rows x^d, ..., x^(2d-2)."""
+    d = phi_degree(k)
+    rows = cyclo._mulrows(k)
+    assert len(rows) == d - 1
+    power = [ZZ(1)]  # x^m mod Phi_k, dense
+    for m in range(2 * k):
+        want = _sympy_rem(power, k)
+        assert list(CycloElt.zeta(k, m).nums) == want
+        if d <= m <= 2 * d - 2:
+            assert list(rows[m - d]) == want
+        power = dup_rem(power + [ZZ(0)], _sympy_phi(k), ZZ)
+
+
+def test_b1_sum_memory_stays_linear_in_the_order():
+    """B_{1,chi} of a character of order 1008 allocates under 1 MiB at peak;
+    a table of x^m mod Phi_1008 for every m < 1008 alone takes about 2.4 MiB."""
+    chi = DirichletChar(1009, (1,))
+    cyclo._ctx.cache_clear()
+    tracemalloc.start()
+    try:
+        bernoulli._b1_sum(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
