@@ -38,6 +38,8 @@ _b1_cache: B1Cache | None = None  # bound on first use, see b1_cache()
 def set_cache_dir(directory: str | None) -> None:
     """Point the B_{1,chi} cache at a directory (None = memory only)."""
     global _b1_cache
+    if _b1_cache is not None:
+        _b1_cache.close()
     _b1_cache = B1Cache(directory)
 
 
@@ -98,13 +100,43 @@ def l_value_at_zero(chi: DirichletChar) -> LValueRecord:
     b1 = cache.get(chi.modulus, chi.exponents)
     if b1 is None:
         b1 = _b1_sum(chi)
-        odd = is_odd(chi)
-        if odd and b1.is_zero():
-            raise TheoremViolation("B_{1,chi} of an odd character cannot vanish")
-        if not odd and not b1.is_zero():
-            raise TheoremViolation("B_{1,chi} of an even nontrivial character must vanish")
+        _check_vanishing(chi, b1)
         cache.put(chi.modulus, chi.exponents, b1)
     return LValueRecord(chi, b1, -b1)
+
+
+def _check_vanishing(chi: DirichletChar, b1: CycloElt) -> None:
+    odd = is_odd(chi)
+    if odd and b1.is_zero():
+        raise TheoremViolation("B_{1,chi} of an odd character cannot vanish")
+    if not odd and not b1.is_zero():
+        raise TheoremViolation("B_{1,chi} of an even nontrivial character must vanish")
+
+
+def orbit_l_values(orbit: list[tuple[int, DirichletChar]]) -> list[LValueRecord]:
+    """l_value_at_zero for every member (j, chi^j) of one Galois orbit, whose
+    first member is (1, chi) (see characters.galois_orbits).
+
+    B_{1,chi^j} = sigma_j(B_{1,chi}), where sigma_j sends zeta_k to zeta_k^j:
+    the bucket sum is taken at most once per orbit, for chi, and a member
+    the cache does not hold is that value's conjugate, checked and cached
+    like a computed one.
+    """
+    if orbit[0][0] != 1:
+        raise ValueError("an orbit's first member must be (1, chi)")
+    cache = b1_cache()
+    base = None  # B_{1,chi}
+    out = []
+    for j, chi in orbit:
+        b1 = cache.get(chi.modulus, chi.exponents)
+        if b1 is None:
+            b1 = _b1_sum(chi) if base is None else base.galois_conj(j)
+            _check_vanishing(chi, b1)
+            cache.put(chi.modulus, chi.exponents, b1)
+        if base is None:
+            base = b1
+        out.append(LValueRecord(chi, b1, -b1))
+    return out
 
 
 def minus_class_number(p: int) -> int:

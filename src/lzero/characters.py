@@ -280,3 +280,28 @@ def primitive_odd_characters(f_max: int) -> list[DirichletChar]:
     for f in range(3, f_max + 1):
         out.extend(enumerate_characters(f, primitive_only=True, parity="odd"))
     return out
+
+
+def galois_orbits(f_max: int) -> list[list[tuple[int, DirichletChar]]]:
+    """primitive_odd_characters(f_max), partitioned into Galois orbits.
+
+    The orbit of chi, of value order k, is {chi^j : gcd(j, k) = 1}; it is
+    listed as the pairs (j, chi^j) for j = 1, ..., k - 1 prime to k, so its
+    first member (j = 1) is chi itself, the first character of the orbit in
+    the order of primitive_odd_characters.  Conjugates share the conductor
+    and the value order, and they are odd too: k is even, so j is odd.
+
+    >>> [[(j, c.modulus, c.exponents) for j, c in orbit] for orbit in galois_orbits(5)]
+    [[(1, 3, (1,))], [(1, 4, (1,))], [(1, 5, (1,)), (3, 5, (3,))]]
+    """
+    # members are the objects primitive_odd_characters made, not pow_char's
+    # equal copies: the lru_cache of conductor() keeps those alive anyway
+    chars = primitive_odd_characters(f_max)
+    left = {chi.key(): chi for chi in chars}
+    orbits = []
+    for chi in chars:
+        if chi.key() in left:
+            k = chi.value_order
+            orbits.append([(j, left.pop(pow_char(chi, j).key())) for j in range(1, k)
+                           if gcd(j, k) == 1])
+    return orbits

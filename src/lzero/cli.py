@@ -15,7 +15,7 @@ reused for every record that carries it.
 
 Exit codes: 0 all checks passed; 1 a proved statement failed to verify
 (which would mean a bug) or, under ``--strict``, a conjecture-level anomaly
-was found; 2 invalid input.
+was found; 2 invalid input, a modulus above MAX_MODULUS included.
 """
 
 from __future__ import annotations
@@ -57,6 +57,13 @@ from .scans import (
 )
 
 _INPUT_ERRORS = (ImprimitiveInput, IncompatibleOrders, NoOrderPCharacter, ValueError)
+
+# The largest modulus of a character a command may build: -f, --fmax, and
+# p, p^rmax or pq where a command builds characters mod those.  It bounds the
+# value order k < modulus too.  The costliest single value below it,
+# `lvalue -f 32603 --chi 1` (k = 32602), is a long division by Phi_k of about
+# 2.7e8 multiply-subtracts; f = 100003 would take 1.3e9.
+MAX_MODULUS = 32768
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps's escaping under ensure_ascii
@@ -250,6 +257,19 @@ def _precision(text: str) -> int:
     return n
 
 
+def _modulus(text: str) -> int:
+    """-f, --fmax, and -p or -q where characters are built mod p or q."""
+    n = _int_arg(text)
+    if n > MAX_MODULUS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_MODULUS}, got {n}")
+    return n
+
+
+def _require_modulus(n: int, what: str) -> None:
+    if n > MAX_MODULUS:
+        raise ValueError(f"{what} = {n} exceeds the largest modulus, {MAX_MODULUS}")
+
+
 def _jobs(text: str) -> int:
     """--jobs: at least one worker, and no more workers than CPUs."""
     n = _int_arg(text)
@@ -338,6 +358,8 @@ def _cmd_deligne_ribet(args):
 
 def _cmd_remark2(args):
     _require_odd_prime(args.p)
+    # p >= 3, so p^r > MAX_MODULUS once r reaches its bit length
+    _require_modulus(args.p ** min(args.rmax, MAX_MODULUS.bit_length()), "p^rmax")
     rows, towers = _pole_depths(args.p, args.rmax, args.precision)
     return rows, _sorted_towers(t.descriptor() for t in towers), {"rows": len(rows)}, "ok"
 
@@ -370,6 +392,7 @@ def _cmd_congruence(args):
 
 def _cmd_corollary1(args):
     _require_odd_prime(args.p)
+    _require_modulus(args.p * args.q, "p*q")
     untwisted, twisted = twisted_pair_witness(args.p, args.q, args.precision)
     towers = _sorted_towers([untwisted.tower, twisted.tower])
     summary = {
@@ -398,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lzero",
         description="Exact Dirichlet L-values at s=0 and their p-adic integrality. "
-                    "JSON output is the source of truth; CSV is a lossy projection.",
+                    "JSON output is the source of truth; CSV is a lossy projection. "
+                    f"Moduli are limited to {MAX_MODULUS}: -f, --fmax, and a modulus p, "
+                    "p^rmax or pq built from -p and -q beyond it exit 2.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -418,21 +443,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 1 if a conjecture-level anomaly is reported")
 
     sp = sub.add_parser("prop1", help="scan the non-integrality classification")
-    sp.add_argument("--fmax", type=int, required=True, help="largest conductor")
+    sp.add_argument("--fmax", type=_modulus, required=True,
+                    help=f"largest conductor (at most {MAX_MODULUS})")
     sp.add_argument("--pmax", type=int, required=True, help="largest prime")
     sp.add_argument("--jobs", type=_jobs, default=1,
                     help="worker processes (at least 1; more than the CPU count are capped)")
     common(sp)
 
     sp = sub.add_parser("lvalue", help="exact L(0, chi), optionally judged at p")
-    sp.add_argument("-f", type=int, required=True, help="conductor")
+    sp.add_argument("-f", type=_modulus, required=True,
+                    help=f"conductor (at most {MAX_MODULUS})")
     sp.add_argument("--chi", required=True, metavar="E1,E2,...",
                     help="exponents of chi on the canonical unit-group basis")
     sp.add_argument("-p", type=int, default=None, help="odd prime for a verdict")
     common(sp)
 
     sp = sub.add_parser("hminus", help="minus class number from the L-value product")
-    sp.add_argument("-p", type=int, required=True, help="odd prime")
+    sp.add_argument("-p", type=_modulus, required=True,
+                    help=f"odd prime (at most {MAX_MODULUS})")
     common(sp, precision=False)
 
     sp = sub.add_parser("irregular", help="irregular pairs (p, k) with p <= pmax")
@@ -447,29 +475,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("deligne-ribet", help="w * L(0, chi) integrality bound")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fmax", type=int, default=None, help="scan conductors up to this")
+    group.add_argument("--fmax", type=_modulus, default=None,
+                       help=f"scan conductors up to this (at most {MAX_MODULUS})")
     group.add_argument("--chi", default=None, metavar="E1,E2,...",
                        help="single character (requires -f)")
-    sp.add_argument("-f", type=int, default=None, help="conductor for --chi")
+    sp.add_argument("-f", type=_modulus, default=None,
+                    help=f"conductor for --chi (at most {MAX_MODULUS})")
     common(sp, precision=False)
 
     sp = sub.add_parser("remark2", help="pole depths at conductor p^r")
-    sp.add_argument("-p", type=int, required=True)
+    sp.add_argument("-p", type=_modulus, required=True,
+                    help=f"odd prime (p^rmax at most {MAX_MODULUS})")
     sp.add_argument("--rmax", type=int, default=2, help="largest exponent r (default 2)")
     common(sp)
 
     sp = sub.add_parser("star", help="unique pole and the class-number product mod p")
-    sp.add_argument("-p", type=int, required=True)
+    sp.add_argument("-p", type=_modulus, required=True, help=f"odd prime (at most {MAX_MODULUS})")
     common(sp)
 
     sp = sub.add_parser("congruence", help="residue congruences between L-values (evidence)")
-    sp.add_argument("--fmax", type=int, required=True)
-    sp.add_argument("-p", type=int, required=True)
+    sp.add_argument("--fmax", type=_modulus, required=True,
+                    help=f"largest conductor (at most {MAX_MODULUS})")
+    sp.add_argument("-p", type=_modulus, required=True, help=f"odd prime (at most {MAX_MODULUS})")
     common(sp)
 
     sp = sub.add_parser("corollary1", help="twisting away the pole: witness pair")
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("-q", type=int, required=True, help="prime with q = 1 mod p")
+    sp.add_argument("-p", type=_modulus, required=True, help="odd prime")
+    sp.add_argument("-q", type=_modulus, required=True,
+                    help=f"prime with q = 1 mod p (pq at most {MAX_MODULUS})")
     common(sp)
 
     return parser

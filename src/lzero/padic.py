@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
@@ -359,8 +359,6 @@ class PadicTower:
     f_res: int             # residue degree = deg of the chosen factor
     e_ram: int             # ramification index = phi(p^a)
     lifted_factor: tuple[int, ...]       # monic divisor of Phi_{k'} mod p^N
-    _grows: tuple = field(repr=False, compare=False, default=())
-    _erows: tuple = field(repr=False, compare=False, default=())
 
     @property
     def modulus(self) -> int:
@@ -378,6 +376,18 @@ class PadicTower:
             "e_ram": self.e_ram,
             "factor": list(self.lifted_factor),
         })
+
+    @functools.cached_property
+    def _grows(self) -> tuple:
+        """x^f, ..., x^(2f - 2) mod the lifted factor, for tower_mul; built on
+        first use, like every table of the tower that only a product reads."""
+        return _x_powers(self.lifted_factor, 2 * self.f_res - 1, self.modulus)[self.f_res:]
+
+    @functools.cached_property
+    def _erows(self) -> tuple:
+        """pi^e, ..., pi^(2e - 2) mod E, for tower_mul."""
+        eis = _eisenstein_poly(self.p, self.wild_exp)
+        return _x_powers(eis, 2 * self.e_ram - 1, self.modulus)[self.e_ram:]
 
     @functools.cached_property
     def zeta_power_columns(self) -> tuple:
@@ -416,14 +426,7 @@ def build_tower(p: int, k: int, precision: int = N_START) -> PadicTower:
     k1, _beta = _tame_part(p, k)
     a = valuation(k // k1, p)
     g_N = _hensel_lift(cyclotomic_poly(k1), residue_factor(p, k1), p, precision)
-    eis = _eisenstein_poly(p, a)
-    f_res, e_ram = len(g_N) - 1, len(eis) - 1
-    pN = p**precision
-    return PadicTower(
-        p, k, precision, k1, a, f_res, e_ram, tuple(g_N),
-        _x_powers(g_N, 2 * f_res - 1, pN)[f_res:],
-        _x_powers(eis, 2 * e_ram - 1, pN)[e_ram:],
-    )
+    return PadicTower(p, k, precision, k1, a, len(g_N) - 1, euler_phi(p**a), tuple(g_N))
 
 
 @dataclass(frozen=True, eq=False)

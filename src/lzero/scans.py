@@ -8,21 +8,50 @@ error from :mod:`lzero.errors` because it can only mean a bug.  Conjectural
 statements (residue congruences between characters, vanishing of L(0, chi)
 mod the chosen place) are never asserted: the scans record what happened
 and leave the judgement to the reader.
+
+The classification scan and the root-of-unity bound scan work one Galois
+orbit {chi^j : gcd(j, k) = 1} at a time (k the value order of chi), because
+Galois already determines most of what a conjugate needs:
+
+* B_{1,chi^j} = sigma_j(B_{1,chi}) with sigma_j: zeta_k -> zeta_k^j, so one
+  bucket sum per orbit gives every member's L-value
+  (bernoulli.orbit_l_values).
+* The field cut out by chi^j is that of chi, and so is its number w of roots
+  of unity.
+* Write k = p^a k'.  The decomposition group of p in (Z/k)^* is
+  D = {j : j mod k' in <p mod k'>}, and sigma_j for j in D fixes the chosen
+  place, so v(L(0, chi^j)) is constant on each coset of D.  So are the
+  denominator of L(0, chi^j) and whether its image vanishes mod p^N, hence
+  the precision the ladder stops at and the tower it stops in.  One value
+  per coset is embedded: phi(k') / ord_{k'}(p) embeddings per (p, orbit),
+  one per prime above p in Q(zeta_k'), instead of phi(k).
+
+What stays per character: the omega^(-1) residue test (sigma_j acts on the
+residue field as a power of Frobenius, so the residue of chi^j is not that
+of chi), and with it the classification and Question 2 fields of a record.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bernoulli import b1_cache, bernoulli_number, l_value_at_zero, minus_class_number
+from .bernoulli import (
+    b1_cache,
+    bernoulli_number,
+    l_value_at_zero,
+    minus_class_number,
+    orbit_l_values,
+)
 from .characters import (
     DirichletChar,
     char_eval,
     conductor,
     enumerate_characters,
+    galois_orbits,
     is_odd,
     is_primitive,
     mul_chars,
@@ -42,6 +71,7 @@ from .nt import euler_phi, factorize, is_prime, primes_upto, valuation
 from .padic import (
     N_START,
     PadicTower,
+    TowerDescriptor,
     _tame_part,
     build_tower,
     char_is_omega_power_mod_p,
@@ -110,6 +140,15 @@ def integrality_verdict(chi: DirichletChar, p: int, n_start: int = N_START) -> V
         raise ValueError("p must be an odd prime")
     lv = l_value_at_zero(chi).l_at_zero
     val, tower, _image = cyclo_valuation(lv, p, n_start)
+    return _verdict_record(chi, p, lv, val, tower.descriptor(), n_start)
+
+
+def _verdict_record(
+    chi: DirichletChar, p: int, lv: CycloElt, val: Fraction, tower: TowerDescriptor,
+    n_start: int,
+) -> VerdictRecord:
+    """The verdict for (chi, p), given L(0, chi) = lv and its valuation val,
+    judged in the tower described by `tower`; the omega^(-1) test is run here."""
     f = chi.modulus
     is_ppow = f > 1 and f == p ** valuation(f, p)
     om_inv = char_is_omega_power_mod_p(chi, p, -1)
@@ -118,13 +157,13 @@ def integrality_verdict(chi: DirichletChar, p: int, n_start: int = N_START) -> V
     if om_inv and not is_ppow and val >= 0:
         q2 = val > 0
     notes = ""
-    if tower.precision != n_start:
-        notes = f"precision escalated to {tower.precision}"
+    if tower["precision"] != n_start:
+        notes = f"precision escalated to {tower['precision']}"
     return VerdictRecord(
         modulus=f,
         exponents=chi.exponents,
         p=p,
-        tower=tower.descriptor(),
+        tower=tower,
         valuation=val,
         global_integral=lv.is_algebraic_integer(),
         omega_inverse=om_inv,
@@ -139,9 +178,45 @@ def expected_pole_depth(p: int, r: int) -> Fraction:
     return -Fraction(1, euler_phi(p ** (r - 1)))
 
 
-def _verdict_task(args: tuple[int, tuple[int, ...], int, int]) -> VerdictRecord:
-    modulus, exponents, p, n_start = args
-    return integrality_verdict(DirichletChar(modulus, exponents), p, n_start)
+def _decomposition_cosets(p: int, k: int, js: list[int]) -> list[int]:
+    """For each j prime to k, the index of its coset of the decomposition
+    group D = {j : j mod k' in <p mod k'>} of p in (Z/k)^*, k = p^a k'.
+    Cosets are numbered in order of first appearance in js."""
+    k1 = _tame_part(p, k)[0]
+    frobenius = [1 % k1]  # <p mod k'>, stepped until it returns to 1
+    x = p % k1
+    while x != frobenius[0]:
+        frobenius.append(x)
+        x = x * p % k1
+    coset_of: dict[int, int] = {}
+    out = []
+    for j in js:
+        r = j % k1
+        if r not in coset_of:
+            n = len(coset_of) // len(frobenius)
+            for h in frobenius:
+                coset_of[r * h % k1] = n
+        out.append(coset_of[r])
+    return out
+
+
+def _orbit_verdicts(
+    orbit: list[tuple[int, DirichletChar]], primes: list[int], n_start: int
+) -> list[VerdictRecord]:
+    """integrality_verdict for every member of one Galois orbit at every p,
+    with one valuation per coset of the decomposition group of p."""
+    lvs = [rec.l_at_zero for rec in orbit_l_values(orbit)]
+    k = orbit[0][1].value_order
+    js = [j for j, _ in orbit]
+    records = []
+    for p in primes:
+        judged: dict[int, tuple[Fraction, TowerDescriptor]] = {}
+        for (_j, chi), lv, coset in zip(orbit, lvs, _decomposition_cosets(p, k, js)):
+            if coset not in judged:
+                val, tower, _image = cyclo_valuation(lv, p, n_start)
+                judged[coset] = val, tower.descriptor()
+            records.append(_verdict_record(chi, p, lv, *judged[coset], n_start))
+    return records
 
 
 def nonintegral_locus_scan(
@@ -149,22 +224,32 @@ def nonintegral_locus_scan(
 ) -> list[VerdictRecord]:
     """Judge every (chi, p) with conductor <= f_max and odd prime p <= p_max.
 
+    The unit of work is one Galois orbit of characters with every p (see
+    the module docstring): its B_{1,chi} is summed once and conjugated, and
+    at each p one member per coset of the decomposition group of p is
+    embedded and judged, its valuation and tower standing for the whole
+    coset.  The omega^(-1) residue test, and the classification and
+    Question 2 fields that follow from it, are computed per character.
+    With jobs > 1 each worker takes whole orbits, so no two workers sum the
+    same orbit's B_{1,chi}.
+
     Hard-checks on the way out: every record must satisfy the proved
     classification, every negative valuation must equal the proved pole
     depth, and for each p the number of non-integral loci at conductor p^d
     must be 1 for d = 1 and phi(p^(d-1)) for d >= 2.  Records are returned
     in the canonical (p, conductor, exponents) order regardless of jobs.
     """
-    chars = primitive_odd_characters(f_max)
     primes = [p for p in primes_upto(p_max) if p > 2]
-    tasks = [(c.modulus, c.exponents, p, n_start) for p in primes for c in chars]
+    orbits = galois_orbits(f_max)
+    judge = functools.partial(_orbit_verdicts, primes=primes, n_start=n_start)
     if jobs > 1:
         b1_cache()  # bound before the fork, so the workers share one attach
-        chunk = max(1, len(tasks) // (4 * jobs))
+        orbits.sort(key=len, reverse=True)  # the largest orbits first
         with multiprocessing.Pool(jobs) as pool:
-            records = pool.map(_verdict_task, tasks, chunksize=chunk)
+            parts = list(pool.imap_unordered(judge, orbits))
     else:
-        records = [_verdict_task(t) for t in tasks]
+        parts = map(judge, orbits)
+    records = [rec for part in parts for rec in part]
     records.sort(key=lambda r: (r.p, r.modulus, r.exponents))
 
     for rec in records:
@@ -253,8 +338,10 @@ def deligne_ribet_check(chi: DirichletChar) -> BoundRecord:
     integers, and L(0, chi) is stored in lowest terms, so w * L(0, chi) is
     integral exactly when its denominator divides w.
     """
-    w = root_of_unity_order(chi)
-    lv = l_value_at_zero(chi).l_at_zero
+    return _bound_record(chi, root_of_unity_order(chi), l_value_at_zero(chi).l_at_zero)
+
+
+def _bound_record(chi: DirichletChar, w: int, lv: CycloElt) -> BoundRecord:
     ok = w % lv.den == 0
     if not ok:
         raise IntegralityViolation(
@@ -264,8 +351,18 @@ def deligne_ribet_check(chi: DirichletChar) -> BoundRecord:
 
 
 def deligne_ribet_scan(f_max: int) -> list[BoundRecord]:
-    """Run the root-of-unity bound check over all odd conductors <= f_max."""
-    return [deligne_ribet_check(chi) for chi in primitive_odd_characters(f_max)]
+    """Run the root-of-unity bound check over all odd conductors <= f_max.
+
+    One Galois orbit at a time: its members cut out one field, so share w,
+    and their L-values are conjugates (bernoulli.orbit_l_values).  Rows come
+    in the order of primitive_odd_characters.
+    """
+    rows = []
+    for orbit in galois_orbits(f_max):
+        w = root_of_unity_order(orbit[0][1])
+        rows.extend(_bound_record(rec.chi, w, rec.l_at_zero) for rec in orbit_l_values(orbit))
+    rows.sort(key=lambda r: (r.modulus, r.exponents))
+    return rows
 
 
 @dataclass(frozen=True)

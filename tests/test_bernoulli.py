@@ -1,5 +1,7 @@
 """Bernoulli numbers, L(0, chi), h_p^- and irregular pairs against oracles."""
 
+import json
+import os
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,6 +23,7 @@ from lzero import (
     pow_char,
     set_cache_dir,
 )
+from lzero.cache import B1Cache
 from lzero.errors import ImprimitiveInput
 from lzero.nt import primes_upto
 
@@ -219,3 +222,72 @@ def test_cache_line_with_a_malformed_coordinate_is_recomputed(tmp_path):
         assert l_value_at_zero(chi).b1chi == want
     finally:
         set_cache_dir(None)
+
+
+def _lines(path):
+    return path.read_text(encoding="ascii").splitlines()
+
+
+def test_cache_line_with_a_wrong_checksum_is_a_reject(tmp_path):
+    chi = DirichletChar(7, (1,))
+    want = l_value_at_zero(chi).b1chi
+    B1Cache(str(tmp_path)).put(7, (1,), want)
+    (line,) = _lines(tmp_path / "b1chi.jsonl")
+    rec = json.loads(line)
+    assert rec["format"] == 2 and len(rec["crc32"]) == 8
+    b1 = '"b1":' + json.dumps(rec["b1"], separators=(",", ":"))
+    assert b1 in line
+    # a plausible value, no longer the one checksummed
+    (tmp_path / "b1chi.jsonl").write_text(line.replace(b1, '"b1":["5/1","0/1"]') + "\n",
+                                          encoding="ascii")
+    cache = B1Cache(str(tmp_path))
+    assert cache.rejects == 1 and cache.get(7, (1,)) is None
+    try:
+        set_cache_dir(str(tmp_path))
+        assert l_value_at_zero(chi).b1chi == want
+    finally:
+        set_cache_dir(None)
+    # recomputed and appended again: the next load holds the true value,
+    # and still counts the damaged line
+    cache = B1Cache(str(tmp_path))
+    assert cache.rejects == 1 and cache.get(7, (1,)) == want
+    assert len(_lines(tmp_path / "b1chi.jsonl")) == 2
+
+
+def test_cache_counts_cut_and_foreign_lines_as_rejects(tmp_path):
+    good = B1Cache(str(tmp_path))
+    for chi in enumerate_characters(11, primitive_only=True, parity="odd"):
+        good.put(chi.modulus, chi.exponents, l_value_at_zero(chi).b1chi)
+    path = tmp_path / "b1chi.jsonl"
+    lines = _lines(path)
+    path.write_text("\n".join([*lines[1:], "not json", "", "[1, 2]", lines[0][:-5]]),
+                    encoding="ascii")
+    cache = B1Cache(str(tmp_path))
+    assert cache.rejects == 3
+    assert len(cache._mem) == len(lines) - 1
+
+
+def test_cache_appends_through_one_handle_per_process(tmp_path):
+    chis = enumerate_characters(13, primitive_only=True, parity="odd")
+    cache = B1Cache(str(tmp_path))
+    cache.put(chis[0].modulus, chis[0].exponents, l_value_at_zero(chis[0]).b1chi)
+    handle = cache._out
+    cache.put(chis[1].modulus, chis[1].exponents, l_value_at_zero(chis[1]).b1chi)
+    assert cache._out is handle
+    pid = os.fork()
+    if pid == 0:  # a forked worker writes through a handle of its own
+        code = 1
+        try:
+            cache.put(chis[2].modulus, chis[2].exponents, l_value_at_zero(chis[2]).b1chi)
+            code = 0 if cache._out is not handle else 1
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
+    cache.put(chis[3].modulus, chis[3].exponents, l_value_at_zero(chis[3]).b1chi)
+    assert cache._out is handle
+    cache.close()
+    assert handle.closed
+    reread = B1Cache(str(tmp_path))
+    assert reread.rejects == 0
+    assert {reread.get(c.modulus, c.exponents) is not None for c in chis[:4]} == {True}
+    assert len(_lines(tmp_path / "b1chi.jsonl")) == 4

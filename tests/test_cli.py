@@ -24,7 +24,8 @@ from lzero import (
     cyclo_valuation,
     l_value_at_zero,
 )
-from lzero import cli
+from lzero import cli, set_cache_dir
+from lzero.bernoulli import b1_cache
 from lzero.cli import _JsonWriter, _emit, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -209,6 +210,43 @@ def test_jobs_below_one_rejected(jobs, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lvalue", "-f", "100003", "--chi", "1"],
+    ["lvalue", "-f", str(cli.MAX_MODULUS + 1), "--chi", "1"],
+    ["prop1", "--fmax", "40000", "--pmax", "5"],
+    ["deligne-ribet", "--fmax", "100003"],
+    ["deligne-ribet", "-f", "100003", "--chi", "1"],
+    ["congruence", "--fmax", "100003", "-p", "5"],
+    ["hminus", "-p", "100003"],
+])
+def test_modulus_above_the_limit_rejected(argv, capsys):
+    # parsing only: the value is never computed
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"at most {cli.MAX_MODULUS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["remark2", "-p", "3", "--rmax", "10"],
+    ["remark2", "-p", "3", "--rmax", "1000000000"],
+    ["corollary1", "-p", "5", "-q", "32441"],
+])
+def test_derived_modulus_above_the_limit_exit_2(argv, capsys):
+    # p^rmax and pq are checked before any character is built
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the largest modulus" in err
+
+
+def test_moduli_up_to_the_limit_accepted():
+    parse = build_parser().parse_args
+    assert parse(["lvalue", "-f", "30011", "--chi", "1"]).f == 30011
+    assert parse(["prop1", "--fmax", str(cli.MAX_MODULUS), "--pmax", "5"]).fmax == cli.MAX_MODULUS
+    assert f"limited to {cli.MAX_MODULUS}" in build_parser().format_help()
+
+
 def test_jobs_clamped_to_cpu_count():
     # parsing only: no pool is started
     args = build_parser().parse_args(["prop1", "--fmax", "9", "--pmax", "5", "--jobs", "4096"])
@@ -254,6 +292,21 @@ def test_cache_does_not_change_bytes(tmp_path, capsys):
     first = run_cli(warm_args, capsys)
     second = run_cli(warm_args, capsys)
     assert cold == first == second
+
+
+def test_poisoned_cache_line_is_recomputed(tmp_path, capsys):
+    # a plausible entry with no checksum: right order and length, wrong value
+    (tmp_path / "b1chi.jsonl").write_text(
+        '{"f":7,"chi":[1],"k":6,"b1":["5/1","0/1"]}\n', encoding="ascii")
+    cold = run_cli(["lvalue", "-f", "7", "--chi", "1"], capsys)
+    try:
+        poisoned = run_cli(["lvalue", "-f", "7", "--chi", "1", "--cache-dir", str(tmp_path)],
+                           capsys)
+        assert b1_cache().rejects == 1
+    finally:
+        set_cache_dir(None)
+    assert poisoned == cold
+    assert json.loads(cold[1])["records"][0]["l0"] != ["-5/1", "0/1"]
 
 
 def test_strict_flag_turns_anomalies_into_failure(capsys):
