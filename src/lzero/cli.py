@@ -62,7 +62,9 @@ _INPUT_ERRORS = (ImprimitiveInput, IncompatibleOrders, NoOrderPCharacter, ValueE
 # p, p^rmax or pq where a command builds characters mod those.  It bounds the
 # value order k < modulus too.  The costliest single value below it,
 # `lvalue -f 32603 --chi 1` (k = 32602), is a long division by Phi_k of about
-# 2.7e8 multiply-subtracts; f = 100003 would take 1.3e9.
+# 2.7e8 multiply-subtracts; f = 100003 would take 1.3e9.  It also bounds a
+# prime p at which towers are built (lvalue -p, prop1 --pmax): choosing the
+# factor of Phi_k' mod p walks F_p once per split (padic.residue_factor).
 MAX_MODULUS = 32768
 
 
@@ -258,7 +260,8 @@ def _precision(text: str) -> int:
 
 
 def _modulus(text: str) -> int:
-    """-f, --fmax, and -p or -q where characters are built mod p or q."""
+    """-f, --fmax, -p or -q where characters are built mod p or q, and -p or
+    --pmax where towers are built at p."""
     n = _int_arg(text)
     if n > MAX_MODULUS:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_MODULUS}, got {n}")
@@ -422,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lzero",
         description="Exact Dirichlet L-values at s=0 and their p-adic integrality. "
                     "JSON output is the source of truth; CSV is a lossy projection. "
-                    f"Moduli are limited to {MAX_MODULUS}: -f, --fmax, and a modulus p, "
-                    "p^rmax or pq built from -p and -q beyond it exit 2.",
+                    f"Moduli are limited to {MAX_MODULUS}: -f, --fmax, a prime p at which "
+                    "towers are built (-p, --pmax), and a modulus p, p^rmax or pq built "
+                    "from -p and -q beyond it exit 2.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -445,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prop1", help="scan the non-integrality classification")
     sp.add_argument("--fmax", type=_modulus, required=True,
                     help=f"largest conductor (at most {MAX_MODULUS})")
-    sp.add_argument("--pmax", type=int, required=True, help="largest prime")
+    sp.add_argument("--pmax", type=_modulus, required=True,
+                    help=f"largest prime (at most {MAX_MODULUS})")
     sp.add_argument("--jobs", type=_jobs, default=1,
                     help="worker processes (at least 1; more than the CPU count are capped)")
     common(sp)
@@ -455,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"conductor (at most {MAX_MODULUS})")
     sp.add_argument("--chi", required=True, metavar="E1,E2,...",
                     help="exponents of chi on the canonical unit-group basis")
-    sp.add_argument("-p", type=int, default=None, help="odd prime for a verdict")
+    sp.add_argument("-p", type=_modulus, default=None,
+                    help=f"odd prime for a verdict (at most {MAX_MODULUS})")
     common(sp)
 
     sp = sub.add_parser("hminus", help="minus class number from the L-value product")

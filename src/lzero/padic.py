@@ -21,9 +21,11 @@ and take the factor with the lexicographically least (b_0, ..., b_{d-1}).
 For split k' this picks the smallest root; e.g. for p = 5, k' = 4 the roots
 of x^2 + 1 are {2, 3} and the rule sends zeta_4 to 2.  Any fixed rule would
 do, but verdicts for individual characters depend on this one.  The factors
-come from seeded Cantor-Zassenhaus splitting, which takes its powers on
-Kronecker-packed integers modulo x^k' - 1 (_CyclicRing) and reduces them
-mod the polynomial being split; the factor chosen does not depend on this.
+come from a deterministic Berlekamp split by Gauss periods
+T_j = sum_{i<d} x^(j p^i mod k'), d = ord_{k'}(p): each T_j takes one value
+in F_p on every irreducible factor, and the roots of its minimal polynomial
+mod a piece split that piece by gcds.  It runs on the same list polynomials
+mod p as the Hensel lift; the factor chosen does not depend on the method.
 
 The image of zeta_k is normalised by CRT: zeta_k^(k') = 1 + pi and
 zeta_k^(p^a) = x.  This makes the place restrict to the place of the tame
@@ -42,7 +44,6 @@ polynomial and a modulus.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -56,7 +57,6 @@ from lzero.nt import euler_phi, factorize, is_prime, multiplicative_order, valua
 
 N_START = 16
 N_CAP = 512
-_FACTOR_SEED = 0x1CEB00DA  # deterministic equal-degree splitting
 
 
 class _AbovePrecision:
@@ -161,85 +161,57 @@ def _pm_add(a, b, m):
     return _pm_trim([(x + y) % m for x, y in _zip_pad(a, b)])
 
 
-class _CyclicRing:
-    """F_p[x]/(x^k - 1) on Kronecker-packed integers (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 8.4).
-
-    An element is one int holding k slots of `width` bits, slot i being the
-    coefficient of x^i in [0, p).  A product is one int multiply; the wrap
-    x^(k+i) -> x^i is one mask, one shift and one add; then every slot is
-    reduced mod p at once by a Barrett step: multiply by m = ceil(2^t / p),
-    shift right by t, mask every slot and subtract p times that quotient.
-
-    A wrapped product of reduced elements has slots v <= bound = k (p-1)^2.
-    With 2^t > bound p the Barrett quotient floor(v m / 2^t) is exactly
-    floor(v / p), so every product is back in [0, p); the slot width holds
-    v m, so no slot overflows into the next.
-    """
-
-    def __init__(self, k: int, p: int):
-        bound = k * (p - 1) ** 2
-        self.k, self.p = k, p
-        self.t = (bound * p).bit_length()
-        self.m = -(-(1 << self.t) // p)
-        self.width = w = (bound * self.m).bit_length()
-        self.low = (1 << (k * w)) - 1
-        ones = self.low // ((1 << w) - 1)  # a 1 in every slot
-        self.quotient_mask = ones * ((1 << (w - self.t)) - 1)
-
-    def pack(self, a: list[int]) -> int:
-        w = self.width
-        return sum(c << (w * i) for i, c in enumerate(a))
-
-    def unpack(self, z: int) -> list[int]:
-        w = self.width
-        mask = (1 << w) - 1
-        return _pm_trim([z >> (w * i) & mask for i in range(self.k)])
-
-    def mul(self, a: int, b: int) -> int:
-        z = a * b
-        z = (z & self.low) + (z >> (self.k * self.width))
-        q = (z * self.m >> self.t) & self.quotient_mask
-        return z - q * self.p
-
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        for bit in bin(e)[2:]:
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, a)
-        return result
+def _gauss_period(j: int, p: int, k1: int, d: int) -> list[int]:
+    """T_j = sum_{i<d} x^(j p^i mod k1) mod p, d = ord_{k1}(p).  p^d = 1 mod
+    k1, so T_j^p = T_j mod x^k1 - 1: T_j is in the Berlekamp algebra of
+    Phi_{k1} mod p (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 14) and takes one value in F_p on each irreducible factor."""
+    t = [0] * k1
+    for i in range(d):
+        t[j * pow(p, i, k1) % k1] += 1
+    return _pm_trim([c % p for c in t])
 
 
-def _equal_degree_split(
-    h: list[int], d: int, ring: _CyclicRing, rng: random.Random
-) -> list[list[int]]:
-    """Factor a squarefree product of degree-d irreducibles mod p (p odd).
-
-    h divides x^k - 1 (k = ring.k), so r^((p^d - 1)/2) mod h is the power
-    taken in the packed ring F_p[x]/(x^k - 1), reduced mod h once.
-    """
-    p = ring.p
-    deg = len(h) - 1
-    if deg == d:
-        return [h]
-    half = (p**d - 1) // 2
+def _min_poly(t: list[int], h: list[int], p: int) -> list[int]:
+    """The monic minimal polynomial of t in F_p[x]/(h), ascending: the powers
+    1, t, t^2, ... mod h are eliminated one at a time, each row followed by
+    its combination of powers, until one eliminates to 0."""
+    n = len(h) - 1
+    rows = {}  # pivot -> row, scaled to 1 at the pivot
+    power = [1]
     while True:
-        r = [rng.randrange(p) for _ in range(deg)]
-        _pm_trim(r)
-        if len(r) < 2:
-            continue
-        s = _pm_divmod(ring.unpack(ring.pow(ring.pack(r), half)), h, p)[1]
-        if s:
-            s[0] = (s[0] - 1) % p
-        else:
-            s = [p - 1]
-        g = _pm_gcd(h, s, p)
-        if 0 < len(g) - 1 < deg:
-            other = _pm_divmod(h, g, p)[0]
-            return _equal_degree_split(g, d, ring, rng) + _equal_degree_split(
-                other, d, ring, rng
-            )
+        i = len(rows)
+        vec = power + [0] * (n - len(power) + i) + [1] + [0] * (n - i)
+        for pivot, row in rows.items():  # in insertion order: echelon form
+            if c := vec[pivot]:
+                vec = [(a - c * b) % p for a, b in zip(vec, row)]
+        pivot = next((m for m in range(n) if vec[m]), None)
+        if pivot is None:
+            return _pm_trim(vec[n:])
+        inv = pow(vec[pivot], -1, p)
+        rows[pivot] = [c * inv % p for c in vec]
+        power = _pm_divmod(_pm_mul(power, t, p), h, p)[1]
+
+
+def _split_by_period(h: list[int], period: list[int], p: int) -> list[list[int]]:
+    """h | Phi_{k1} mod p as the gcd(h, t - c), t = period mod h, over the
+    roots c in F_p of t's minimal polynomial, found by Horner's rule."""
+    t = _pm_divmod(period, h, p)[1]
+    mu = _min_poly(t, h, p)
+    if len(mu) == 2:  # t is constant mod h
+        return [h]
+    pieces = []
+    for c in range(p):
+        acc = 0
+        for a in reversed(mu):
+            acc = (acc * c + a) % p
+        if not acc:
+            pieces.append(_pm_gcd(h, _pm_sub(t, [c], p), p))
+            if len(pieces) == len(mu) - 1:
+                break
+    if sum(len(g) - 1 for g in pieces) != len(h) - 1:
+        raise TheoremViolation(f"a Gauss period mod {p} is not in the Berlekamp algebra")
+    return pieces
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,16 +220,29 @@ def residue_factor(p: int, k1: int) -> tuple[int, ...]:
 
     Selection: minimize (b_0, ..., b_{d-1}) where the factor is written as
     x^d - sum b_i x^i with least nonnegative b_i.
+
+    The Gauss periods T_1, T_2, ... span the Berlekamp algebra, so splitting
+    every piece by each in turn reaches the factors, all of degree
+    d = ord_{k1}(p), before j reaches k1.
+
+    >>> residue_factor(5, 4)
+    (3, 1)
     """
-    phi = [c % p for c in cyclotomic_poly(k1)]
     d = multiplicative_order(p, k1) if k1 > 1 else 1
-    rng = random.Random(_FACTOR_SEED ^ (p << 20) ^ k1)
-    factors = _equal_degree_split(phi, d, _CyclicRing(k1, p), rng)
+    pieces = [_pm_trim([c % p for c in cyclotomic_poly(k1)])]
+    j = 0
+    while any(len(h) - 1 != d for h in pieces):
+        j += 1
+        if j == k1:
+            raise TheoremViolation(f"Phi_{k1} mod {p} has a factor of degree other than {d}")
+        period = _gauss_period(j, p, k1, d)
+        pieces = [g for h in pieces
+                  for g in ([h] if len(h) - 1 == d else _split_by_period(h, period, p))]
 
     def rule(g: list[int]) -> tuple[int, ...]:
         return tuple((-c) % p for c in g[:-1])
 
-    return tuple(min(factors, key=rule))
+    return tuple(min(pieces, key=rule))
 
 
 def _hensel_lift(F: tuple[int, ...], g_bar: tuple[int, ...], p: int, N: int) -> list[int]:

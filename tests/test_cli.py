@@ -218,6 +218,8 @@ def test_jobs_below_one_rejected(jobs, capsys):
     ["deligne-ribet", "-f", "100003", "--chi", "1"],
     ["congruence", "--fmax", "100003", "-p", "5"],
     ["hminus", "-p", "100003"],
+    ["lvalue", "-f", "5", "--chi", "1", "-p", "40009"],
+    ["prop1", "--fmax", "9", "--pmax", "40000"],
 ])
 def test_modulus_above_the_limit_rejected(argv, capsys):
     # parsing only: the value is never computed
@@ -244,6 +246,8 @@ def test_moduli_up_to_the_limit_accepted():
     parse = build_parser().parse_args
     assert parse(["lvalue", "-f", "30011", "--chi", "1"]).f == 30011
     assert parse(["prop1", "--fmax", str(cli.MAX_MODULUS), "--pmax", "5"]).fmax == cli.MAX_MODULUS
+    assert parse(["lvalue", "-f", "5", "--chi", "1", "-p", "32749"]).p == 32749
+    assert parse(["prop1", "--fmax", "9", "--pmax", str(cli.MAX_MODULUS)]).pmax == cli.MAX_MODULUS
     assert f"limited to {cli.MAX_MODULUS}" in build_parser().format_help()
 
 

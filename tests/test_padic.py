@@ -28,8 +28,8 @@ from lzero import padic
 from lzero.cyclo import cyclotomic_poly
 from lzero.padic import (
     PadicElt,
-    _CyclicRing,
     _eisenstein_poly,
+    _gauss_period,
     _hensel_lift,
     _pm_divmod,
     _pm_mul,
@@ -77,11 +77,11 @@ def test_split_case_picks_smallest_root():
 def _least_factor_by_sympy(p, k1):
     """The selection rule applied to sympy's factorisation of Phi_{k1} mod p.
 
-    Berlekamp's algorithm, so the oracle does not share the split's method
-    (it is also the quicker of sympy's methods here)."""
+    Cantor-Zassenhaus, so the oracle does not share the split's method, a
+    Berlekamp split by Gauss periods."""
     x = sympy.Symbol("x")
     phi = sympy.Poly(sympy.cyclotomic_poly(k1, x), x, modulus=p)
-    with polyconfig.using(GF_FACTOR_METHOD="berlekamp"):
+    with polyconfig.using(GF_FACTOR_METHOD="zassenhaus"):
         _, factors = phi.factor_list()
     ascending = [tuple(c % p for c in reversed(f.all_coeffs())) for f, _ in factors]
     assert all(g[-1] == 1 for g in ascending)
@@ -93,7 +93,7 @@ FACTOR_ORACLE_PAIRS = [
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
     for k1 in range(1, 61)
     if k1 % p
-] + [(23, 82), (5, 82), (19, 78), (149, 96)]
+] + [(23, 82), (5, 82), (19, 78), (149, 96), (32749, 12), (601, 200), (61, 600)]
 
 
 def test_factor_matches_sympy_selection():
@@ -102,111 +102,28 @@ def test_factor_matches_sympy_selection():
         assert residue_factor.__wrapped__(p, k1) == _least_factor_by_sympy(p, k1), (p, k1)
 
 
-# ---------------------------------------------------------------------------
-# the packed ring F_p[x]/(x^k - 1) used by the equal-degree split
-
-PACKED_KS = (1, 2, 3, 96, 200)
-PACKED_PS = (3, 31, 149, 65521)
-
-
-def _cyclic_reference_mul(a, b, k, p):
-    return _pm_divmod(_pm_mul(a, b, p), [p - 1] + [0] * (k - 1) + [1], p)[1]
-
-
-def _cyclic_reference_pow(a, e, k, p):
-    result = [1]
-    for bit in bin(e)[2:]:
-        result = _cyclic_reference_mul(result, result, k, p)
-        if bit == "1":
-            result = _cyclic_reference_mul(result, a, k, p)
-    return result
+@pytest.mark.parametrize("p,k1", [(3, 8), (5, 21), (7, 43), (13, 36), (31, 100), (149, 96)])
+def test_gauss_periods_are_fixed_by_frobenius(p, k1):
+    # T_j^p = T_j mod x^k1 - 1: the p-th power of a sum over a Frobenius
+    # orbit permutes its terms, so every T_j lies in the Berlekamp algebra
+    d = multiplicative_order(p, k1)
+    cyclic = [p - 1] + [0] * (k1 - 1) + [1]
+    for j in sorted({0, 1, 2, 3, k1 // 3, k1 // 2, k1 - 1}):
+        t = _gauss_period(j, p, k1, d)
+        power = [1]
+        for bit in bin(p)[2:]:
+            power = _pm_divmod(_pm_mul(power, power, p), cyclic, p)[1]
+            if bit == "1":
+                power = _pm_divmod(_pm_mul(power, t, p), cyclic, p)[1]
+        assert power == t, j
 
 
-def _powmod_reference(base, exp, mod, p):
-    """Square-and-multiply mod (mod, p) on lists, reducing after every product."""
-    result = [1]
-    base = _pm_divmod(base, mod, p)[1]
-    while exp:
-        if exp & 1:
-            result = _pm_divmod(_pm_mul(result, base, p), mod, p)[1]
-        base = _pm_divmod(_pm_mul(base, base, p), mod, p)[1]
-        exp >>= 1
-    return result
-
-
-def _checked_ring(k, p):
-    """A packed ring whose every product, also inside pow, must come out
-    in canonical form: k slots in [0, p).  A wrong product could otherwise
-    grow without bound when powered."""
-    ring = _CyclicRing(k, p)
-    mul = ring.mul
-
-    def checked_mul(a, b):
-        z = mul(a, b)
-        assert 0 <= z < 1 << (k * ring.width)
-        assert all(c < p for c in ring.unpack(z))
-        return z
-
-    ring.mul = checked_mul
-    return ring
-
-
-def _operands(k, p, rng):
-    """Random elements, the worst slot load (every coefficient p - 1), and
-    elements with trailing zero coefficients, all of length at most k."""
-    yield [p - 1] * k
-    yield [rng.randrange(p) for _ in range(k)]
-    yield [rng.randrange(p) for _ in range(rng.randrange(1, k + 1))]
-    yield [0] * (k - 1) + [1]
-
-
-@pytest.mark.parametrize("p", PACKED_PS)
-@pytest.mark.parametrize("k", PACKED_KS)
-def test_packed_product_matches_lists(k, p):
-    rng = random.Random(k * 1000003 + p)
-    ring = _checked_ring(k, p)
-    ops = list(_operands(k, p, rng))
-    for a in ops:
-        for b in ops:
-            got = ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
-            assert got == _cyclic_reference_mul(a, b, k, p)
-
-
-# Exponents: small ones, one below p^2, and at d = 20 the split's top
-# exponent (p^20 - 1)/2 and a random one below it.  The list reference costs
-# O(k^2) per product, so at k = 96 and 200 the d = 20 exponents run only
-# for p = 3 and on the all-(p - 1) operand; the products at those k are
-# checked for every p by test_packed_product_matches_lists.
-@pytest.mark.parametrize("p", PACKED_PS)
-@pytest.mark.parametrize("k", PACKED_KS)
-def test_packed_power_matches_lists(k, p):
-    rng = random.Random(k * 1000003 + p)
-    ring = _checked_ring(k, p)
-    top = (p**20 - 1) // 2
-    worst, rand = list(_operands(k, p, rng))[:2]
-    cases = [(a, e) for a in (worst, rand) for e in (0, 1, 2, p - 1, rng.randrange(p * p))]
-    if k <= 3:
-        cases += [(a, e) for a in (worst, rand) for e in (top, rng.randrange(top))]
-    elif p == 3:
-        cases += [(worst, top), (worst, rng.randrange(top))]
-    for a, e in cases:
-        got = ring.unpack(ring.pow(ring.pack(a), e))
-        assert got == _cyclic_reference_pow(a, e, k, p), e
-
-
-@pytest.mark.parametrize("p,k", [(3, 4), (5, 12), (7, 43), (31, 20), (149, 96), (65521, 3)])
-def test_packed_power_reduced_mod_a_factor_matches_powmod(p, k):
-    # the split's step: r^((p^d - 1)/2) mod h for h dividing Phi_k mod p
-    rng = random.Random(p * k)
-    ring = _checked_ring(k, p)
-    d = multiplicative_order(p, k)
-    half = (p**d - 1) // 2
-    phi = [c % p for c in cyclotomic_poly(k)]
-    for h in (list(_least_factor_by_sympy(p, k)), phi):
-        for _ in range(5):
-            r = padic._pm_trim([rng.randrange(p) for _ in range(len(h) - 1)])
-            got = _pm_divmod(ring.unpack(ring.pow(ring.pack(r), half)), h, p)[1]
-            assert got == _powmod_reference(r, half, h, p)
+def test_split_with_a_wrong_degree_raises(monkeypatch):
+    # Phi_3 = x^2 + x + 1 is irreducible mod 5; told that d = 1, the split
+    # must refuse instead of returning a factor of the wrong degree
+    monkeypatch.setattr(padic, "multiplicative_order", lambda a, n: 1)
+    with pytest.raises(TheoremViolation):
+        residue_factor.__wrapped__(5, 3)
 
 
 # ---------------------------------------------------------------------------
