@@ -19,6 +19,12 @@ Appends are idempotent: re-adding a known key writes nothing, and duplicate
 lines (e.g. from parallel workers) are harmless because every writer
 computes the same exact value.  Each process appends through one handle of
 its own, one write per line.
+
+A load that finds rejects or duplicate keys compacts the file before any
+append: the first good line of each key, in file order, goes to a temporary
+file in the same directory, which then replaces the cache by ``os.replace``.
+A clean file is never rewritten.  A line that another process appends to the
+old file while it is being replaced is lost; that only costs a recompute.
 """
 from __future__ import annotations
 
@@ -57,21 +63,37 @@ class B1Cache:
 
         A line that fails it (a write cut short, say) is skipped and counted
         as a reject; its value is recomputed on demand and appended again on
-        a fresh line.
+        a fresh line.  If the file holds a reject or a key twice, it is
+        rewritten with the first good line of each key.
         """
         os.makedirs(directory, exist_ok=True)
         self._path = os.path.join(directory, _FILENAME)
         self.close()
-        if os.path.exists(self._path):
-            with open(self._path, "r", encoding="ascii", errors="replace") as fh:
-                line = ""
-                for line in fh:
-                    entry = _parse(line)
-                    if entry is not None:
-                        self._mem[entry[0]] = entry[1]
-                    elif line.strip():
+        if not os.path.exists(self._path):
+            return
+        kept: dict[tuple[int, tuple[int, ...]], str] = {}
+        dirty = False
+        with open(self._path, "r", encoding="ascii", errors="replace") as fh:
+            line = ""
+            for line in fh:
+                entry = _parse(line)
+                if entry is None:
+                    if line.strip():
                         self.rejects += 1
-            self._midline = bool(line) and not line.endswith("\n")
+                        dirty = True
+                elif entry[0] in kept:
+                    dirty = True
+                else:
+                    kept[entry[0]] = line
+                    self._mem[entry[0]] = entry[1]
+        self._midline = bool(line) and not line.endswith("\n")
+        if dirty:
+            tmp = f"{self._path}.{os.getpid()}.tmp"
+            with open(tmp, "w", encoding="ascii") as out:
+                out.writelines(text if text.endswith("\n") else text + "\n"
+                               for text in kept.values())
+            os.replace(tmp, self._path)
+            self._midline = False
 
     def get(self, f: int, chi: tuple[int, ...]) -> CycloElt | None:
         return self._mem.get((f, chi))

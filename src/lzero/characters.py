@@ -154,36 +154,30 @@ def is_trivial(chi: DirichletChar) -> bool:
     return chi.value_order == 1
 
 
+def _component_conductor(q: int, a: int, exps: tuple[int, ...]) -> int:
+    """Conductor of the character of (Z/q^a)^* with exponents exps on the
+    generators of _component_generators(q, a)."""
+    if q == 2:
+        if a <= 2:  # the only generator, if any, is -1
+            return 4 if any(exps) else 1
+        e_minus, e_five = exps
+        o_five = 2 ** (a - 2)
+        s = o_five // gcd(o_five, e_five)
+        return 4 * s if s > 1 else 4 if e_minus else 1
+    o = (q - 1) * q ** (a - 1)
+    s = o // gcd(o, exps[0])
+    return q ** (1 + valuation(s, q)) if s > 1 else 1
+
+
 @functools.lru_cache(maxsize=None)
 def conductor(chi: DirichletChar) -> int:
     """Smallest modulus through which chi factors, component by component."""
-    basis = unit_group_basis(chi.modulus)
     cond = 1
     idx = 0
     for q, a in sorted(factorize(chi.modulus).items()):
-        if q == 2:
-            if a == 1:
-                continue
-            if a == 2:
-                e, (_, o) = chi.exponents[idx], basis.generators[idx]
-                idx += 1
-                if e:
-                    cond *= 4
-                continue
-            e_minus, e_five = chi.exponents[idx], chi.exponents[idx + 1]
-            o_five = basis.generators[idx + 1][1]
-            idx += 2
-            s = o_five // gcd(o_five, e_five)
-            if s > 1:
-                cond *= 4 * s
-            elif e_minus:
-                cond *= 4
-        else:
-            e, (_, o) = chi.exponents[idx], basis.generators[idx]
-            idx += 1
-            s = o // gcd(o, e)
-            if s > 1:
-                cond *= q ** (1 + valuation(s, q))
+        n = len(_component_generators(q, a))
+        cond *= _component_conductor(q, a, chi.exponents[idx:idx + n])
+        idx += n
     return cond
 
 
@@ -260,12 +254,17 @@ def enumerate_characters(
     """
     if parity not in ("all", "odd", "even"):
         raise ValueError("parity must be all, odd or even")
-    basis = unit_group_basis(modulus)
+    # chi is primitive iff each prime-power component is, so the exponent
+    # tuples are filtered component by component; the product of filtered
+    # lexicographic lists is still lexicographic
+    components = []
+    for q, a in sorted(factorize(modulus).items()):
+        exps = itertools.product(*(range(o) for _, o in _component_generators(q, a)))
+        components.append([e for e in exps
+                           if not primitive_only or _component_conductor(q, a, e) == q**a])
     out = []
-    for exps in itertools.product(*(range(o) for _, o in basis.generators)):
-        chi = DirichletChar(modulus, exps)
-        if primitive_only and not is_primitive(chi):
-            continue
+    for parts in itertools.product(*components):
+        chi = DirichletChar(modulus, sum(parts, ()))
         if parity == "odd" and not is_odd(chi):
             continue
         if parity == "even" and is_odd(chi):
@@ -295,7 +294,7 @@ def galois_orbits(f_max: int) -> list[list[tuple[int, DirichletChar]]]:
     [[(1, 3, (1,))], [(1, 4, (1,))], [(1, 5, (1,)), (3, 5, (3,))]]
     """
     # members are the objects primitive_odd_characters made, not pow_char's
-    # equal copies: the lru_cache of conductor() keeps those alive anyway
+    # equal copies, so each character is built once
     chars = primitive_odd_characters(f_max)
     left = {chi.key(): chi for chi in chars}
     orbits = []

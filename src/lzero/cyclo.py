@@ -6,8 +6,16 @@ over one positive denominator in lowest terms.  The power basis generates
 the full ring of integers Z[zeta_k], so an element is an algebraic integer
 exactly when its denominator is 1.
 
-Any sum_m c_m zeta_k^m reaches that basis by long division by the monic
-Phi_k (_reduce), so an order holds O(phi(k)) integers until its first product.
+Any sum_m c_m zeta_k^m reaches that basis by the staged division of
+_reduce, so an order keeps only the stages' nonzero coefficients until its
+first product.  For the primes q_1 < ... < q_r of k and m = q_1, q_1 q_2,
+..., q_1 ... q_r = rad(k) in turn, it divides by Phi_m(x^(k/m)): monic, with
+only the nonzero terms of Phi_m, at stride k/m.  Each of these vanishes at
+every primitive k-th root of unity zeta (zeta^(k/m) is a primitive m-th
+root), so the irreducible Phi_k divides it, and each stage leaves the
+remainder mod Phi_k unchanged.  The last one is Phi_k itself, because
+Phi_k(x) = Phi_rad(k)(x^(k/rad(k))).  For even k the first stage is the fold
+x^(k/2) = -1, one subtraction per coefficient.
 
 Mixed-order arithmetic merges both operands into Q(zeta_lcm) via the
 compatible system zeta_d = zeta_K^(K/d) for d | K.
@@ -58,22 +66,33 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _ctx(k: int):
-    """phi(k) and the nonzero coefficients (i, c) of Phi_k below x^phi(k)."""
-    phi = cyclotomic_poly(k)
-    return len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
+    """phi(k) and the stages of _reduce: for each m = q_1, q_1 q_2, ..., rad(k)
+    (the primes of k ascending; m = 1 for k = 1), the degree of
+    Phi_m(x^(k/m)) and its nonzero coefficients (i, c) below that degree."""
+    stages = []
+    m = 1
+    for q in sorted(factorize(k)) or [1]:
+        m *= q
+        phi_m, step = cyclotomic_poly(m), k // m
+        stages.append(((len(phi_m) - 1) * step,
+                       tuple((i * step, c) for i, c in enumerate(phi_m[:-1]) if c)))
+    return stages[-1][0], tuple(stages)
 
 
 def _reduce(k: int, coeffs) -> list[int]:
-    """sum_m coeffs[m] x^m mod Phi_k on the power basis, by long division
-    from the top coefficient down."""
-    d, low = _ctx(k)
-    rem = list(coeffs) + [0] * (d - len(coeffs))
-    for s in range(len(rem) - 1 - d, -1, -1):  # x^(s+d) = x^s (x^d - Phi_k)
-        c = rem[s + d]
-        if c:
-            for i, a in low:
-                rem[s + i] -= c * a
-    return rem[:d]
+    """sum_m coeffs[m] x^m mod Phi_k on the power basis: long division by
+    each stage of _ctx(k) in turn, from the top coefficient down.  Every
+    stage is a monic multiple of Phi_k and the last is Phi_k."""
+    d, stages = _ctx(k)
+    rem = list(coeffs)
+    for top, low in stages:
+        for s in range(len(rem) - 1 - top, -1, -1):  # x^(s+top) = x^s (x^top - stage)
+            c = rem[s + top]
+            if c:
+                for i, a in low:
+                    rem[s + i] -= c * a
+        del rem[top:]
+    return rem + [0] * (d - len(rem))
 
 
 @functools.lru_cache(maxsize=None)

@@ -51,7 +51,7 @@ from operator import mul
 
 from lzero._kernels import tower_mul
 from lzero.characters import DirichletChar, eval_exponent, unit_group_basis, _char_data
-from lzero.cyclo import CycloElt, cyclotomic_poly
+from lzero.cyclo import CycloElt, _reduce, cyclotomic_poly
 from lzero.errors import PrecisionExhausted, TheoremViolation
 from lzero.nt import euler_phi, factorize, is_prime, multiplicative_order, valuation
 
@@ -235,7 +235,9 @@ def residue_factor(p: int, k1: int) -> tuple[int, ...]:
         j += 1
         if j == k1:
             raise TheoremViolation(f"Phi_{k1} mod {p} has a factor of degree other than {d}")
-        period = _gauss_period(j, p, k1, d)
+        # every piece divides Phi_k1 mod p, so T_j mod Phi_k1 has the same
+        # residue mod each piece and is reduced once for all of them
+        period = _pm_trim([c % p for c in _reduce(k1, _gauss_period(j, p, k1, d))])
         pieces = [g for h in pieces
                   for g in ([h] if len(h) - 1 == d else _split_by_period(h, period, p))]
 

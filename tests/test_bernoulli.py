@@ -247,11 +247,11 @@ def test_cache_line_with_a_wrong_checksum_is_a_reject(tmp_path):
         assert l_value_at_zero(chi).b1chi == want
     finally:
         set_cache_dir(None)
-    # recomputed and appended again: the next load holds the true value,
-    # and still counts the damaged line
+    # the first load dropped the damaged line, and the value was recomputed
+    # and appended: the next load holds the true value and no reject
     cache = B1Cache(str(tmp_path))
-    assert cache.rejects == 1 and cache.get(7, (1,)) == want
-    assert len(_lines(tmp_path / "b1chi.jsonl")) == 2
+    assert cache.rejects == 0 and cache.get(7, (1,)) == want
+    assert len(_lines(tmp_path / "b1chi.jsonl")) == 1
 
 
 def test_cache_counts_cut_and_foreign_lines_as_rejects(tmp_path):
@@ -265,6 +265,42 @@ def test_cache_counts_cut_and_foreign_lines_as_rejects(tmp_path):
     cache = B1Cache(str(tmp_path))
     assert cache.rejects == 3
     assert len(cache._mem) == len(lines) - 1
+    # compacted: the good lines, in file order, each ending its line
+    assert _lines(path) == lines[1:]
+    assert path.read_text(encoding="ascii").endswith("\n")
+    assert B1Cache(str(tmp_path)).rejects == 0
+
+
+def test_cache_keeps_the_first_line_of_a_duplicated_key(tmp_path):
+    chis = enumerate_characters(13, primitive_only=True, parity="odd")[:3]
+    cache = B1Cache(str(tmp_path))
+    for chi in chis:
+        cache.put(chi.modulus, chi.exponents, l_value_at_zero(chi).b1chi)
+    cache.close()
+    path = tmp_path / "b1chi.jsonl"
+    lines = _lines(path)
+    # two workers appended the same keys
+    path.write_text("\n".join([lines[0], lines[1], lines[0], lines[2], lines[1]]) + "\n",
+                    encoding="ascii")
+    reread = B1Cache(str(tmp_path))
+    assert reread.rejects == 0
+    assert _lines(path) == lines
+    assert all(reread.get(c.modulus, c.exponents) == l_value_at_zero(c).b1chi for c in chis)
+
+
+def test_clean_cache_file_is_not_rewritten(tmp_path):
+    cache = B1Cache(str(tmp_path))
+    for chi in enumerate_characters(11, primitive_only=True, parity="odd"):
+        cache.put(chi.modulus, chi.exponents, l_value_at_zero(chi).b1chi)
+    cache.close()
+    path = tmp_path / "b1chi.jsonl"
+    before = path.stat()
+    reread = B1Cache(str(tmp_path))
+    after = path.stat()
+    assert reread.rejects == 0
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (
+        before.st_ino, before.st_mtime_ns, before.st_size)
+    assert sorted(os.listdir(tmp_path)) == ["b1chi.jsonl"]
 
 
 def test_cache_appends_through_one_handle_per_process(tmp_path):

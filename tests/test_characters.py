@@ -1,5 +1,6 @@
 """Dirichlet characters: basis anchors, brute-force conductor oracle, algebra."""
 
+import itertools
 from math import gcd
 
 import pytest
@@ -21,7 +22,7 @@ from lzero import (
     primitivize,
     unit_group_basis,
 )
-from lzero.characters import _dlog_table
+from lzero.characters import _dlog_table, eval_exponent
 from lzero.nt import euler_phi
 
 
@@ -134,6 +135,35 @@ def _conductor_oracle(chi):
 def test_conductor_matches_oracle(modulus):
     for chi in _all_chars(modulus):
         assert conductor(chi) == _conductor_oracle(chi)
+
+
+def _conductor_by_kernel(chi):
+    """The least c | f with chi(a) = 1 for every unit a = 1 mod c."""
+    f = chi.modulus
+    kernel = {a for a in range(f) if eval_exponent(chi, a) == 0}
+    units = [a for a in range(f) if gcd(a, f) == 1]
+    return next(c for c in range(1, f + 1)
+                if f % c == 0 and all(a in kernel for a in units if a % c == 1 % c))
+
+
+@pytest.mark.parametrize("modulus", range(1, 121))
+def test_conductor_matches_definition(modulus):
+    for chi in _all_chars(modulus):
+        assert conductor(chi) == _conductor_by_kernel(chi)
+
+
+@pytest.mark.parametrize("modulus", range(1, 301))
+def test_primitive_enumeration_matches_filtering_all(modulus):
+    # every exponent tuple on the basis, in lexicographic order, then filtered
+    orders = [o for _, o in unit_group_basis(modulus).generators]
+    chars = [DirichletChar(modulus, e) for e in itertools.product(*map(range, orders))]
+    primitive = [chi for chi in chars if conductor(chi) == modulus]
+    assert enumerate_characters(modulus) == chars
+    assert enumerate_characters(modulus, primitive_only=True) == primitive
+    assert enumerate_characters(modulus, primitive_only=True, parity="odd") == [
+        chi for chi in primitive if is_odd(chi)]
+    assert enumerate_characters(modulus, primitive_only=True, parity="even") == [
+        chi for chi in primitive if not is_odd(chi)]
 
 
 def test_is_primitive_and_trivial():

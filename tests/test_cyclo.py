@@ -188,6 +188,52 @@ def test_zeta_and_mulrows_match_sympy_powers(k):
         power = dup_rem(power + [ZZ(0)], _sympy_phi(k), ZZ)
 
 
+@pytest.mark.parametrize("k", _REDUCTION_ORDERS)
+def test_reduction_stages_are_multiples_of_phi(k):
+    """Each stage of _reduce is a monic multiple of Phi_k, and the last is Phi_k."""
+    d, stages = cyclo._ctx(k)
+    assert d == phi_degree(k) == len(_sympy_phi(k)) - 1
+    tops = [top for top, _ in stages]
+    assert tops == sorted(tops, reverse=True) and len(set(tops)) == len(tops)
+    for top, low in stages:
+        dense = [ZZ(0)] * (top + 1)
+        dense[0] = ZZ(1)
+        for i, c in low:
+            dense[top - i] = ZZ(c)
+        assert dup_rem(dense, _sympy_phi(k), ZZ) == []
+    assert stages[-1] == (d, tuple((i, c) for i, c in enumerate(cyclotomic_poly(k)[:-1]) if c))
+
+
+def _long_division(k, coeffs):
+    """coeffs mod Phi_k by plain long division by the dense Phi_k."""
+    phi = cyclotomic_poly(k)
+    d = len(phi) - 1
+    rem = list(coeffs) + [0] * d
+    for s in range(len(coeffs) - 1 - d, -1, -1):
+        if c := rem[s + d]:
+            for i, a in enumerate(phi):
+                rem[s + i] -= c * a
+    return rem[:d]
+
+
+# orders <= 400 in full; 30010 = 2 * 5 * 3001 (phi = 12,000) only on inputs a
+# little longer than phi(k), where the dense division stays affordable
+_LONG_DIVISION_ORDERS = list(range(1, 401)) + [1155, 2002, 2310, 30010]
+
+
+@pytest.mark.parametrize("k", _LONG_DIVISION_ORDERS)
+def test_reduce_matches_long_division_by_phi(k):
+    rng = random.Random(2000 + k)
+    d = phi_degree(k)
+    lengths = (0, 1, rng.randrange(d + 1), d + 40) if k > 2310 else (0, 1, rng.randrange(d + 1), k, 2 * k)
+    for n in lengths:
+        coeffs = [rng.randrange(-10**6, 10**6) for _ in range(n)]
+        assert cyclo._reduce(k, coeffs) == _long_division(k, coeffs)
+    for m in (d, d + 1, d + 17) if k > 2310 else (d, k - 1, k, 2 * k - 1):
+        monomial = [0] * m + [1]
+        assert cyclo._reduce(k, monomial) == _long_division(k, monomial)
+
+
 def test_b1_sum_memory_stays_linear_in_the_order():
     """B_{1,chi} of a character of order 1008 allocates under 1 MiB at peak;
     a table of x^m mod Phi_1008 for every m < 1008 alone takes about 2.4 MiB."""

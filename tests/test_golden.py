@@ -10,6 +10,7 @@ reviewed.  From the repository root:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -85,10 +86,26 @@ def test_cache_never_changes_stdout(tmp_path):
     full = cached_run()  # fills the empty cache
     assert cached_run() == full  # reads it back and appends nothing
     jsonl.write_bytes(jsonl.read_bytes()[:-10])  # cut the last entry short
-    # the lost entry is recomputed and appended on a line of its own, so
-    # every later run reads all entries back and appends nothing
+    # the load drops the cut line and the lost entry is recomputed and
+    # appended, so the file is whole again and later runs append nothing
     sizes = [cached_run() for _ in range(3)]
-    assert sizes[0] > full - 10 and sizes[0] == sizes[1] == sizes[2]
+    assert sizes == [full] * 3
+
+
+# stdout sha256 of lvalue at the largest value orders, whose output is too
+# large for a golden file: f = 30011 (k = 30010 = 2 * 5 * 3001) and
+# f = 32603 (k = 32602 = 2 * 16301), the costliest conductor under the limit
+BIG_ORDER_PINS = {
+    "30011": "cd82f3712bb63eb8d66bd27819532f504b9f5f4fe795a940093dcb7872232b33",
+    "32603": "f0e6441030bee9f719d64f6d72daee1f00c3933409510c4b21f473846570ac21",
+}
+
+
+@pytest.mark.parametrize("f", sorted(BIG_ORDER_PINS))
+def test_big_order_lvalue_is_pinned(f):
+    out = _run(["lvalue", "-f", f, "--chi", "1"])
+    assert out.returncode == 0, out.stderr.decode()
+    assert hashlib.sha256(out.stdout).hexdigest() == BIG_ORDER_PINS[f]
 
 
 if __name__ == "__main__":
