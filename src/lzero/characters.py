@@ -256,20 +256,19 @@ def enumerate_characters(
         raise ValueError("parity must be all, odd or even")
     # chi is primitive iff each prime-power component is, so the exponent
     # tuples are filtered component by component; the product of filtered
-    # lexicographic lists is still lexicographic
+    # lexicographic lists is still lexicographic.  chi(-1) = (-1)^s, s the
+    # sum of each component's exponent on its first generator: -1 is that
+    # generator for 4 and 2^a, and its (order/2)-th power for q^a, q odd.
     components = []
     for q, a in sorted(factorize(modulus).items()):
         exps = itertools.product(*(range(o) for _, o in _component_generators(q, a)))
-        components.append([e for e in exps
+        components.append([(e, e[0] % 2 if e else 0) for e in exps
                            if not primitive_only or _component_conductor(q, a, e) == q**a])
+    want = {"odd": 1, "even": 0}.get(parity)
     out = []
     for parts in itertools.product(*components):
-        chi = DirichletChar(modulus, sum(parts, ()))
-        if parity == "odd" and not is_odd(chi):
-            continue
-        if parity == "even" and is_odd(chi):
-            continue
-        out.append(chi)
+        if want is None or sum(s for _, s in parts) % 2 == want:
+            out.append(DirichletChar(modulus, sum((e for e, _ in parts), ())))
     return out
 
 

@@ -24,8 +24,10 @@ do, but verdicts for individual characters depend on this one.  The factors
 come from a deterministic Berlekamp split by Gauss periods
 T_j = sum_{i<d} x^(j p^i mod k'), d = ord_{k'}(p): each T_j takes one value
 in F_p on every irreducible factor, and the roots of its minimal polynomial
-mod a piece split that piece by gcds.  It runs on the same list polynomials
-mod p as the Hensel lift; the factor chosen does not depend on the method.
+mod a piece split that piece by gcds.  Its powers are taken with the one
+product of the Hensel lift, a product reduced mod a monic polynomial; the
+factor chosen does not depend on the method.  The lift is Newton's method
+for the monic divisor of x^(k') - 1 that reduces to the chosen factor.
 
 The image of zeta_k is normalised by CRT: zeta_k^(k') = 1 + pi and
 zeta_k^(p^a) = x.  This makes the place restrict to the place of the tame
@@ -79,7 +81,7 @@ ABOVE_PRECISION = _AbovePrecision()
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Z/m, m = p or a power of p for Hensel lifting
-# (lists, ascending degree, no trailing zeros)
+# (lists, ascending degree, no trailing zeros except in what _mulmod returns)
 
 
 def _pm_trim(a: list[int]) -> list[int]:
@@ -88,15 +90,22 @@ def _pm_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _pm_mul(a, b, p):
-    if not a or not b:
-        return []
+def _mulmod(a, b, G, m):
+    """a b mod (G, m) for a monic G: the product, then its coefficients from
+    the top down reduced by G in place; at most deg(G) coefficients, not
+    trimmed."""
+    n = len(G) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-    return _pm_trim([c % p for c in out])
+    low = G[:-1]
+    for top in range(len(out) - 1, n - 1, -1):
+        if c := out[top] % m:
+            for i, g in enumerate(low, top - n):
+                out[i] -= c * g
+    return [c % m for c in out[:n]]
 
 
 def _pm_divmod(a, b, p):
@@ -129,38 +138,6 @@ def _pm_gcd(a, b, p):
     return a
 
 
-def _pm_xgcd(a, b, p):
-    """(g, s, t) with s a + t b = g mod p, g monic."""
-    r0, s0, t0 = list(a), [1], []
-    r1, s1, t1 = list(b), [], [1]
-    _pm_trim(r0)
-    _pm_trim(r1)
-    while r1:
-        q, r = _pm_divmod(r0, r1, p)
-        s2 = _pm_sub(s0, _pm_mul(q, s1, p), p)
-        t2 = _pm_sub(t0, _pm_mul(q, t1, p), p)
-        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s2, t2
-    inv = pow(r0[-1], -1, p)
-    return (
-        [x * inv % p for x in r0],
-        [x * inv % p for x in s0],
-        [x * inv % p for x in t0],
-    )
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _pm_sub(a, b, m):
-    return _pm_trim([(x - y) % m for x, y in _zip_pad(a, b)])
-
-
-def _pm_add(a, b, m):
-    return _pm_trim([(x + y) % m for x, y in _zip_pad(a, b)])
-
-
 def _gauss_period(j: int, p: int, k1: int, d: int) -> list[int]:
     """T_j = sum_{i<d} x^(j p^i mod k1) mod p, d = ord_{k1}(p).  p^d = 1 mod
     k1, so T_j^p = T_j mod x^k1 - 1: T_j is in the Berlekamp algebra of
@@ -190,7 +167,7 @@ def _min_poly(t: list[int], h: list[int], p: int) -> list[int]:
             return _pm_trim(vec[n:])
         inv = pow(vec[pivot], -1, p)
         rows[pivot] = [c * inv % p for c in vec]
-        power = _pm_divmod(_pm_mul(power, t, p), h, p)[1]
+        power = _mulmod(power, t, h, p)
 
 
 def _split_by_period(h: list[int], period: list[int], p: int) -> list[list[int]]:
@@ -206,7 +183,7 @@ def _split_by_period(h: list[int], period: list[int], p: int) -> list[list[int]]
         for a in reversed(mu):
             acc = (acc * c + a) % p
         if not acc:
-            pieces.append(_pm_gcd(h, _pm_sub(t, [c], p), p))
+            pieces.append(_pm_gcd(h, [t[0] - c, *t[1:]], p))
             if len(pieces) == len(mu) - 1:
                 break
     if sum(len(g) - 1 for g in pieces) != len(h) - 1:
@@ -247,45 +224,58 @@ def residue_factor(p: int, k1: int) -> tuple[int, ...]:
     return tuple(min(pieces, key=rule))
 
 
-def _hensel_lift(F: tuple[int, ...], g_bar: tuple[int, ...], p: int, N: int) -> list[int]:
-    """Lift the factor g_bar of F mod p to a monic divisor of F mod p^N.
+def _hensel_lift(k1: int, g_bar: tuple[int, ...], p: int, N: int) -> list[int]:
+    """Lift the factor g_bar of Phi_{k1} mod p to a monic divisor of Phi_{k1}
+    mod p^N.
 
-    Quadratic (Newton) lifting, von zur Gathen & Gerhard, Modern Computer
-    Algebra, Alg. 15.10: the monic factor G, its cofactor H and a Bezout
-    pair with s H + t G = 1 are lifted together, doubling the precision at
-    each step through p^ceil(N/2^j), ..., p^N, so the last step lands on p^N
-    exactly.  That is ceil(log2 N) steps.  The monic lift of g_bar is unique
-    (g_bar and F/g_bar are coprime mod p), so it does not depend on the
-    route taken to p^N.
+    G is lifted alone, as the monic divisor of X = x^k1 - 1 that reduces to
+    g_bar: one Newton step takes G mod p^n to G mod m = p^(2n), through
+    p^ceil(N/2^j), ..., p^N, so the last step lands on p^N exactly.  That is
+    ceil(log2 N) steps.  With theta = x mod G,
+
+        r = theta^k1 - 1 mod (G, m),    G <- G + r G' theta / k1 mod (G, m).
+
+    Why: write X = G H + e with e = 0 mod p^n; the step needs
+    delta = e / H mod G, and e = r mod G.  X' = G'H + GH' + e', so
+    H = X'/G' mod (G, p^n), and X'(theta) = k1 theta^(k1 - 1) = k1 / theta
+    because theta^k1 = 1 mod (G, p^n).  Each error term is O(p^n) O(p^n),
+    so it vanishes mod p^(2n).  p does not divide k1, so X is squarefree
+    mod p: its monic divisor lifting g_bar is unique, it does not depend on
+    the route taken to p^N, and it is the one that divides Phi_{k1}.  Each
+    step checks r = 0 mod p^n; the end checks Phi_{k1} = 0 mod (G, p^N),
+    which rejects a divisor of X that does not divide Phi_{k1}.  For
+    deg G = 1, theta is the scalar -G[0].
+
+    >>> _hensel_lift(4, (3, 1), 5, 2)
+    [18, 1]
     """
-    g = [c % p for c in g_bar]
-    if len(g) == len(F):
-        return [c % p**N for c in F]
-    Fc = list(F)
-    G = g
-    H = _pm_divmod([c % p for c in Fc], g, p)[0]
-    s, t = _pm_xgcd(H, G, p)[1:]
+    F = cyclotomic_poly(k1)
+    G = [c % p for c in g_bar]
+    pN = p**N
+    if G == [c % p for c in F]:  # Phi_{k1} is irreducible mod p
+        return [c % pN for c in F]
     steps = [N]
     while steps[-1] > 1:
         steps.append((steps[-1] + 1) // 2)
     steps.reverse()
+    inv_k1 = pow(k1, -1, pN)
     for n, nxt in zip(steps, steps[1:]):
         m, prev = p**nxt, p**n
-        e = _pm_sub(Fc, _pm_mul(G, H, m), m)
-        if any(c % prev for c in e):
-            raise TheoremViolation("Hensel step: F - GH must vanish mod the modulus")
-        # MCA 15.10 with G as the monic factor whose degree is kept
-        q, r = _pm_divmod(_pm_mul(s, e, m), G, m)
-        H = _pm_add(H, _pm_add(_pm_mul(t, e, m), _pm_mul(q, H, m), m), m)
-        G = _pm_add(G, r, m)
-        if nxt < N:
-            b = _pm_sub(_pm_add(_pm_mul(s, H, m), _pm_mul(t, G, m), m), [1], m)
-            c, d = _pm_divmod(_pm_mul(s, b, m), G, m)
-            s = _pm_sub(s, d, m)
-            t = _pm_sub(t, _pm_add(_pm_mul(t, b, m), _pm_mul(c, H, m), m), m)
-    pN = p**N
-    if _pm_sub(Fc, _pm_mul(G, H, pN), pN):
-        raise TheoremViolation("Hensel lift: F must equal GH mod p^N")
+        theta = [0, 1] if len(G) > 2 else [-G[0] % m]
+        power = theta
+        for bit in bin(k1)[3:]:
+            power = _mulmod(power, power, G, m)
+            if bit == "1":
+                power = _mulmod(power, theta, G, m)
+        r = [power[0] - 1, *power[1:]]
+        if any(c % prev for c in r):
+            raise TheoremViolation("Newton step: x^k' - 1 must vanish mod (G, p^n)")
+        dG = [i * c * inv_k1 % m for i, c in enumerate(G) if i]
+        delta = _mulmod(r, _mulmod(dG, theta, G, m), G, m)
+        for i, c in enumerate(delta):
+            G[i] = (G[i] + c) % m
+    if _pm_divmod(F, G, pN)[1]:
+        raise TheoremViolation("Hensel lift: the lift must divide Phi_k' mod p^N")
     return G
 
 
@@ -412,7 +402,7 @@ def build_tower(p: int, k: int, precision: int = N_START) -> PadicTower:
         raise ValueError("k and precision must be positive")
     k1, _beta = _tame_part(p, k)
     a = valuation(k // k1, p)
-    g_N = _hensel_lift(cyclotomic_poly(k1), residue_factor(p, k1), p, precision)
+    g_N = _hensel_lift(k1, residue_factor(p, k1), p, precision)
     return PadicTower(p, k, precision, k1, a, len(g_N) - 1, euler_phi(p**a), tuple(g_N))
 
 

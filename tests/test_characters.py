@@ -166,6 +166,19 @@ def test_primitive_enumeration_matches_filtering_all(modulus):
         chi for chi in primitive if not is_odd(chi)]
 
 
+def test_parity_enumeration_matches_is_odd():
+    # the parity read off the exponents against chi(-1) through is_odd, for
+    # every character of every modulus up to 300
+    for modulus in range(1, 301):
+        for primitive_only in (False, True):
+            chars = enumerate_characters(modulus, primitive_only=primitive_only)
+            odd = [chi for chi in chars if is_odd(chi)]
+            even = [chi for chi in chars if not is_odd(chi)]
+            assert enumerate_characters(modulus, primitive_only, "odd") == odd, modulus
+            assert enumerate_characters(modulus, primitive_only, "even") == even, modulus
+            assert enumerate_characters(modulus, primitive_only, "all") == chars
+
+
 def test_is_primitive_and_trivial():
     for modulus in (8, 12, 15):
         for chi in _all_chars(modulus):

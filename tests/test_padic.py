@@ -31,9 +31,9 @@ from lzero.padic import (
     _eisenstein_poly,
     _gauss_period,
     _hensel_lift,
+    _mulmod,
     _pm_divmod,
-    _pm_mul,
-    _pm_xgcd,
+    _pm_trim,
 )
 from lzero.nt import euler_phi, multiplicative_order, valuation
 
@@ -245,6 +245,41 @@ def test_hensel_factor_congruent_mod_p():
     assert all(c == 0 for c in rem)
 
 
+def _pm_mul(a, b, p):
+    """a b mod p, trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _pm_trim([c % p for c in out])
+
+
+def _pm_xgcd(a, b, p):
+    """(g, s, t) with s a + t b = g mod p, g monic."""
+
+    def sub(u, v):
+        n = max(len(u), len(v))
+        u, v = u + [0] * (n - len(u)), v + [0] * (n - len(v))
+        return _pm_trim([(x - y) % p for x, y in zip(u, v)])
+
+    r0, s0, t0 = _pm_trim(list(a)), [1], []
+    r1, s1, t1 = _pm_trim(list(b)), [], [1]
+    while r1:
+        q, r = _pm_divmod(r0, r1, p)
+        s2 = sub(s0, _pm_mul(q, s1, p))
+        t2 = sub(t0, _pm_mul(q, t1, p))
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s2, t2
+    inv = pow(r0[-1], -1, p)
+    return (
+        [x * inv % p for x in r0],
+        [x * inv % p for x in s0],
+        [x * inv % p for x in t0],
+    )
+
+
 def _linear_hensel_reference(F, g_bar, p, N):
     """Lift g_bar | F mod p to p^N by N - 1 linear Hensel steps, one power
     of p at a time; each step solves G dh + H dg = (F - GH)/p^n mod p."""
@@ -286,7 +321,7 @@ def test_newton_lift_matches_linear_reference(p):
         if len(g) == len(phi):
             degenerate.append(k1)
         for N in HENSEL_PRECISIONS:
-            G = _hensel_lift(phi, g, p, N)
+            G = _hensel_lift(k1, g, p, N)
             assert G == _linear_hensel_reference(phi, g, p, N), (k1, N)
             assert len(G) == len(g) and G[-1] == 1
             assert [c % p for c in G] == [c % p for c in g]
@@ -299,13 +334,13 @@ def test_newton_lift_matches_linear_reference(p):
 def test_newton_lift_doubles_precision_per_step(N, monkeypatch):
     moduli = set()
 
-    def recording_mul(a, b, m):
+    def recording_mulmod(a, b, G, m):
         moduli.add(m)
-        return _pm_mul(a, b, m)
+        return _mulmod(a, b, G, m)
 
-    monkeypatch.setattr(padic, "_pm_mul", recording_mul)
+    monkeypatch.setattr(padic, "_mulmod", recording_mulmod)
     p, k1 = 7, 43  # a degree-6 factor of Phi_43 mod 7
-    _hensel_lift(cyclotomic_poly(k1), residue_factor(p, k1), p, N)
+    _hensel_lift(k1, residue_factor(p, k1), p, N)
     lifted = sorted(valuation(m, p) for m in moduli if m > p)
     assert len(lifted) == (N - 1).bit_length()  # ceil(log2 N) steps
     assert lifted[-1:] == ([N] if N > 1 else [])
@@ -315,9 +350,17 @@ def test_newton_lift_doubles_precision_per_step(N, monkeypatch):
 
 @pytest.mark.parametrize("N", [1, 2, 16])
 def test_hensel_lift_rejects_a_non_factor(N):
-    # x + 1 does not divide x^2 + 1 mod 5
+    # x + 1 divides x^4 - 1 but not Phi_4 = x^2 + 1 mod 5: every Newton step
+    # passes, so the final check must refuse it
     with pytest.raises(TheoremViolation):
-        _hensel_lift(cyclotomic_poly(4), (1, 1), 5, N)
+        _hensel_lift(4, (1, 1), 5, N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 16])
+def test_hensel_lift_rejects_a_non_divisor_of_x_k_minus_1(N):
+    # 3^3 = 6 mod 7, so x - 3 does not divide x^3 - 1 mod 7
+    with pytest.raises(TheoremViolation):
+        _hensel_lift(3, (4, 1), 7, N)
 
 
 def test_lifted_root_at_5_4():
@@ -513,7 +556,6 @@ def _omega_power_reference(chi, p, t):
     """char_is_omega_power_mod_p before its per-(p, k') tables, verbatim."""
     from lzero.characters import _char_data, eval_exponent, unit_group_basis
     from lzero.nt import factorize, is_prime
-    from lzero.padic import _pm_trim
 
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
