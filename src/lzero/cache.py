@@ -2,17 +2,19 @@
 
 One JSONL file, one entry per line:
 
-    {"b1":["-3/5","-1/5"],"chi":[1],"f":5,"format":2,"k":4,"crc32":"e6461c41"}
+    {"chi":[1],"den":5,"f":5,"format":3,"k":4,"nums":[-3,-1],"crc32":"4b982b6b"}
 
-Coordinates are exact "numerator/denominator" strings, so a round trip is
-bit-exact.  A line is the canonical text of its record (keys sorted, no
-spaces, ``format`` tagging the layout) with one key appended last:
+The value is stored as ``CycloElt`` holds it: the integer power-basis
+numerators ``nums`` in Q(zeta_k) over one positive denominator ``den``, so a
+round trip is bit-exact.  A line is the canonical text of its record (keys
+sorted, no spaces, ``format`` tagging the layout) with one key appended last:
 ``crc32``, the CRC-32 of that canonical text.  A line is loaded only if the
-checksum of the text before it matches and the tag is current, so a line
-cut short, edited by hand or written by an older layout is a reject: it is
-counted in ``B1Cache.rejects``, and its value is recomputed on demand and
-appended again.  The checksum guards against damage, not forgery; the
-cache directory is trusted.  (CRC-32, not a hash from hashlib: zlib is
+checksum of the text before it matches, the tag is current and the value is
+well formed (``den`` a positive integer, phi(k) integer ``nums``), so a line
+cut short, edited by hand, malformed or written by an older layout is a
+reject: it is counted in ``B1Cache.rejects``, and its value is recomputed on
+demand and appended again.  The checksum guards against damage, not
+forgery; the cache directory is trusted.  (CRC-32, not a hash from hashlib: zlib is
 loaded anyway, while hashlib maps OpenSSL, 3.5 MB of resident memory.)
 
 Appends are idempotent: re-adding a known key writes nothing, and duplicate
@@ -36,7 +38,7 @@ from lzero.cyclo import CycloElt
 
 CACHE_ENV_VAR = "LZERO_CACHE_DIR"
 _FILENAME = "b1chi.jsonl"
-_FORMAT = 2
+_FORMAT = 3
 
 
 def _tail(canonical: str) -> str:
@@ -104,8 +106,8 @@ class B1Cache:
             return
         self._mem[key] = b1
         if self._path:
-            rec = {"b1": b1.coord_strings(), "chi": list(chi), "f": f, "format": _FORMAT,
-                   "k": b1.order}
+            rec = {"chi": list(chi), "den": b1.den, "f": f, "format": _FORMAT,
+                   "k": b1.order, "nums": list(b1.nums)}
             canonical = json.dumps(rec, sort_keys=True, separators=(",", ":"))
             line = canonical[:-1] + _tail(canonical) + "\n"
             if self._midline:
@@ -135,8 +137,12 @@ def _parse(line: str):
         if line[-_TAIL_LEN:] != _tail(canonical):
             return None
         rec = json.loads(canonical)
-        if rec["format"] != _FORMAT:
+        f, chi, k, nums, den = rec["f"], rec["chi"], rec["k"], rec["nums"], rec["den"]
+        # a JSON true loads as a bool, which is an int to isinstance
+        if (rec["format"] != _FORMAT or type(chi) is not list or type(nums) is not list
+                or any(type(n) is not int for n in (f, k, den, *chi, *nums))
+                or k < 1 or den < 1):
             return None
-        return (rec["f"], tuple(rec["chi"])), CycloElt.from_strings(rec["k"], rec["b1"])
+        return (f, tuple(chi)), CycloElt(k, nums, den)  # ValueError unless phi(k) nums
     except (ValueError, KeyError, TypeError):
         return None

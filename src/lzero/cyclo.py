@@ -164,18 +164,6 @@ class CycloElt:
         """
         return CycloElt(order, _reduce(order, sums), den)
 
-    @classmethod
-    def from_strings(cls, order: int, coords: list[str]) -> CycloElt:
-        """Parse "n/d" coordinates (d > 0), as coord_strings writes them."""
-        pairs = []
-        for s in coords:
-            n, d = map(int, s.split("/"))
-            if d <= 0:
-                raise ValueError(f"bad coordinate {s!r}")
-            pairs.append((n, d))
-        den = lcm(*(d for _, d in pairs))
-        return cls(order, [n * (den // d) for n, d in pairs], den)
-
     # ---- serialization ------------------------------------------------
 
     def _reduced(self):

@@ -557,11 +557,18 @@ def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
     Tested on the generators of (Z/lcm(f, p))^*, which suffices by
     multiplicativity: the residue of chi(g) (p-power-order parts reduce
     to 1) must equal g^t mod p.
+
+    If p does not divide f and p - 1 does not divide t, the answer is no
+    without a table: (Z/fp)^* = (Z/f)^* x (Z/p)^*, so some g is 1 mod f
+    and a primitive root mod p.  Then chi(g) = chi(1) = 1 has residue 1,
+    while g^t != 1 mod p.
     """
     k, _ = _char_data(chi.modulus, chi.exponents)
     # residue of zeta_k^m: the p-power part drops to 1 and the tame part is
     # x^(beta m), as in the table PadicTower.zeta_power_columns.
     k1, beta = _tame_part(p, k)
+    if chi.modulus % p and t % (p - 1):
+        return False
     residues = _power_residues(p, k1)
     zeros = (0,) * (len(residues[0]) - 1)
     m_mod = lcm(chi.modulus, p)

@@ -34,7 +34,6 @@ of chi), and with it the classification and Question 2 fields of a record.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -243,6 +242,8 @@ def nonintegral_locus_scan(
     orbits = galois_orbits(f_max)
     judge = functools.partial(_orbit_verdicts, primes=primes, n_start=n_start)
     if jobs > 1:
+        import multiprocessing  # only here: it costs every start-up otherwise
+
         b1_cache()  # bound before the fork, so the workers share one attach
         orbits.sort(key=len, reverse=True)  # the largest orbits first
         with multiprocessing.Pool(jobs) as pool:

@@ -23,7 +23,7 @@ from lzero import (
     pow_char,
     set_cache_dir,
 )
-from lzero.cache import B1Cache
+from lzero.cache import B1Cache, _tail
 from lzero.errors import ImprimitiveInput
 from lzero.nt import primes_upto
 
@@ -234,11 +234,11 @@ def test_cache_line_with_a_wrong_checksum_is_a_reject(tmp_path):
     B1Cache(str(tmp_path)).put(7, (1,), want)
     (line,) = _lines(tmp_path / "b1chi.jsonl")
     rec = json.loads(line)
-    assert rec["format"] == 2 and len(rec["crc32"]) == 8
-    b1 = '"b1":' + json.dumps(rec["b1"], separators=(",", ":"))
-    assert b1 in line
+    assert rec["format"] == 3 and len(rec["crc32"]) == 8
+    nums = '"nums":' + json.dumps(rec["nums"], separators=(",", ":"))
+    assert nums in line
     # a plausible value, no longer the one checksummed
-    (tmp_path / "b1chi.jsonl").write_text(line.replace(b1, '"b1":["5/1","0/1"]') + "\n",
+    (tmp_path / "b1chi.jsonl").write_text(line.replace(nums, '"nums":[5,0]') + "\n",
                                           encoding="ascii")
     cache = B1Cache(str(tmp_path))
     assert cache.rejects == 1 and cache.get(7, (1,)) is None
@@ -252,6 +252,62 @@ def test_cache_line_with_a_wrong_checksum_is_a_reject(tmp_path):
     cache = B1Cache(str(tmp_path))
     assert cache.rejects == 0 and cache.get(7, (1,)) == want
     assert len(_lines(tmp_path / "b1chi.jsonl")) == 1
+
+
+# lines that the "n/d"-string layout (format 2) wrote for chi = (1,) mod 5 and 7
+_FORMAT_2_LINES = [
+    '{"b1":["-3/5","-1/5"],"chi":[1],"f":5,"format":2,"k":4,"crc32":"e6461c41"}',
+    '{"b1":["-2/7","-4/7"],"chi":[1],"f":7,"format":2,"k":6,"crc32":"fe109856"}',
+]
+
+
+def test_cache_line_of_the_string_layout_is_recomputed_once(tmp_path):
+    chis = [DirichletChar(5, (1,)), DirichletChar(7, (1,))]
+    want = [l_value_at_zero(chi).b1chi for chi in chis]
+    path = tmp_path / "b1chi.jsonl"
+    path.write_text("\n".join(_FORMAT_2_LINES) + "\n", encoding="ascii")
+    cache = B1Cache(str(tmp_path))
+    assert cache.rejects == 2 and cache.get(5, (1,)) is None and cache.get(7, (1,)) is None
+    assert path.read_text(encoding="ascii") == ""  # compacted away
+    try:
+        set_cache_dir(str(tmp_path))
+        assert [l_value_at_zero(chi).b1chi for chi in chis] == want
+    finally:
+        set_cache_dir(None)
+    reread = B1Cache(str(tmp_path))
+    assert reread.rejects == 0
+    assert [reread.get(chi.modulus, chi.exponents) for chi in chis] == want
+    assert [json.loads(line)["format"] for line in _lines(path)] == [3, 3]
+
+
+def _checksummed(rec):
+    """A cache line for rec whose checksum is valid, whatever rec holds."""
+    canonical = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return canonical[:-1] + _tail(canonical) + "\n"
+
+
+@pytest.mark.parametrize("damage", [
+    {"den": 0}, {"den": -1}, {"den": True}, {"den": 5.0}, {"den": "5"},
+    {"nums": [True, -1]}, {"nums": [1.5, -1]}, {"nums": ["-3", -1]},
+    {"nums": [-3]}, {"nums": [-3, -1, 0]}, {"nums": 3},
+    {"k": 0}, {"k": True}, {"f": [5]}, {"chi": [[1]]}, {"chi": 1},
+], ids=lambda damage: json.dumps(damage, separators=(",", ":")))
+def test_cache_line_with_a_valid_checksum_and_a_malformed_value_is_a_reject(tmp_path, damage):
+    chi = DirichletChar(5, (1,))
+    want = l_value_at_zero(chi).b1chi
+    good = {"chi": [1], "den": 5, "f": 5, "format": 3, "k": 4, "nums": [-3, -1]}
+    path = tmp_path / "b1chi.jsonl"
+    path.write_text(_checksummed(good), encoding="ascii")
+    assert B1Cache(str(tmp_path)).get(5, (1,)) == want  # the undamaged line loads
+    path.write_text(_checksummed({**good, **damage}), encoding="ascii")
+    cache = B1Cache(str(tmp_path))
+    assert cache.rejects == 1 and cache.get(5, (1,)) is None
+    try:
+        set_cache_dir(str(tmp_path))
+        assert l_value_at_zero(chi).b1chi == want
+    finally:
+        set_cache_dir(None)
+    assert len(_lines(path)) == 1 and B1Cache(str(tmp_path)).get(5, (1,)) == want
 
 
 def test_cache_counts_cut_and_foreign_lines_as_rejects(tmp_path):

@@ -493,6 +493,16 @@ def test_module_entry_point():
     assert doc["records"][0]["p"] == 37
 
 
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only prop1 --jobs N > 1 forks; every other start-up skips the import
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lzero.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_console_script_if_installed():
     from shutil import which
 

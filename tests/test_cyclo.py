@@ -116,17 +116,6 @@ def test_galois_conjugates_product_is_norm():
     assert prod.rational_value() == _norm(a)
 
 
-def test_from_strings_roundtrip():
-    a = CycloElt(8, [21, 0, -5, 70], 35)
-    assert CycloElt.from_strings(8, a.coord_strings()) == a
-
-
-@pytest.mark.parametrize("coords", [["1/0"], ["1/-2"], ["3"], ["1.5/2"], ["a/b"]])
-def test_from_strings_rejects_malformed(coords):
-    with pytest.raises(ValueError):
-        CycloElt.from_strings(1, coords)
-
-
 @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 12, 15, 36])
 def test_from_exponent_sums_matches_zeta_sum(k):
     rng = random.Random(k)
