@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from lzero.cache import CACHE_ENV_VAR, B1Cache
 from lzero.characters import (
@@ -25,6 +25,7 @@ from lzero.characters import (
     is_odd,
     is_primitive,
     is_trivial,
+    unit_group_basis,
 )
 from lzero.cyclo import CycloElt
 from lzero.errors import ImprimitiveInput, NonIntegralResult, TheoremViolation
@@ -139,21 +140,55 @@ def orbit_l_values(orbit: list[tuple[int, DirichletChar]]) -> list[LValueRecord]
     return out
 
 
+def _norm_to_q(x: CycloElt) -> CycloElt:
+    """N_{Q(zeta_k)/Q}(x), k = x.order, as the product of x's conjugates.
+
+    (Z/k)^* is the direct product of the cyclic groups <g> of
+    unit_group_basis(k), so the norm is the product over each factor in
+    turn.  Over <g> of order m it is P_m, where P_n = prod_{t<n} sigma_{g^t}(x)
+    is built by doubling: P_{2n} = P_n * sigma_{g^n}(P_n) and
+    P_{n+1} = x * sigma_g(P_n), O(log m) products where one per conjugate
+    would take m - 1.
+    """
+    k = x.order
+    for g, m in unit_group_basis(k).generators:
+        acc, n = x, 1  # P_n
+        for bit in bin(m)[3:]:
+            acc = acc * acc.galois_conj(pow(g, n, k))
+            n *= 2
+            if bit == "1":
+                acc = x * acc.galois_conj(g)
+                n += 1
+        x = acc
+    return x
+
+
 def minus_class_number(p: int) -> int:
     """h_minus of the p-th cyclotomic field from the odd L(0, chi) product.
 
     Uses h_minus = p * 2^(-(p-3)/2) * prod_{chi odd mod p} L(0, chi), and
     cross-checks the equivalent form 2p * prod (-B_{1,chi} / 2).
+
+    The product is taken one Galois orbit at a time.  The odd characters mod
+    p are chi^m for odd m, chi the one with exponent (1,); chi^m has value
+    order k = (p-1)/gcd(m, p-1), and its orbit {chi^(mj) : gcd(j, k) = 1} is
+    the class of m with that gcd.  L(0, chi^(mj)) = sigma_j(L(0, chi^m)), so
+    an orbit's factor is the norm of one L-value from Q(zeta_k) to Q
+    (_norm_to_q): one value summed per orbit, and a rational number, which
+    is checked.  This check is live: a norm that missed a cyclic factor of
+    the Galois group would be an element of a proper subfield, in general
+    not rational.
     """
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     odd_chars = enumerate_characters(p, parity="odd")
-    prod = CycloElt.one()
-    for chi in odd_chars:
-        prod = prod * l_value_at_zero(chi).l_at_zero
-    val = prod.rational_value()
-    if val is None:
-        raise NonIntegralResult("odd L-value product is not Galois-stable")
+    val = Fraction(1)
+    for d in sorted({gcd(chi.exponents[0], p - 1) for chi in odd_chars}):
+        norm = _norm_to_q(l_value_at_zero(DirichletChar(p, (d,))).l_at_zero).rational_value()
+        if norm is None:
+            raise NonIntegralResult(f"the norm of L(0, chi) for chi mod {p} ({d},) "
+                                    f"is not rational")
+        val *= norm
     h = Fraction(p) * val / Fraction(2) ** ((p - 3) // 2)
     if h <= 0 or h.denominator != 1:
         raise NonIntegralResult(f"h_minus({p}) = {h} is not a positive integer")

@@ -15,7 +15,9 @@ reused for every record that carries it.
 
 Exit codes: 0 all checks passed; 1 a proved statement failed to verify
 (which would mean a bug) or, under ``--strict``, a conjecture-level anomaly
-was found; 2 invalid input, a modulus above MAX_MODULUS included.
+was found; 2 invalid input, a modulus above MAX_MODULUS included; 3 the
+report could not be rendered (a bug; stdout holds a partial document); 141
+standard output was closed before the report was written (``| head``).
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ _INPUT_ERRORS = (ImprimitiveInput, IncompatibleOrders, NoOrderPCharacter, ValueE
 # prime p at which towers are built (lvalue -p, prop1 --pmax): choosing the
 # factor of Phi_k' mod p walks F_p once per split (padic.residue_factor).
 MAX_MODULUS = 32768
+
+# The largest p for hminus and star.  h_minus(p) is a product of orbit norms
+# (bernoulli.minus_class_number), and the norm of an L-value of value order
+# k costs O(log phi(k)) products in Q(zeta_k) whose coefficients grow to
+# about phi(k) times the digits of the value.  The costliest p are those
+# with phi(p - 1) near p/2, the safe primes 2q + 1: on a shared 2-core VM,
+# hminus takes 1.9 s at p = 1019, 17.6 s at 2099, 25-31 s at 2459 and 178 s
+# at 4079.  Up to this cap, hminus and star stay within README's bound of
+# 60 s and 100 MB.
+MAX_CLASS_NUMBER_PRIME = 2500
+
+EXIT_RENDER_FAILED = 3
+EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps's escaping under ensure_ascii
@@ -268,6 +283,15 @@ def _modulus(text: str) -> int:
     return n
 
 
+def _class_number_prime(text: str) -> int:
+    """-p of hminus and star: a modulus, and at most MAX_CLASS_NUMBER_PRIME."""
+    n = _modulus(text)
+    if n > MAX_CLASS_NUMBER_PRIME:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_CLASS_NUMBER_PRIME} for the class number, got {n}")
+    return n
+
+
 def _require_modulus(n: int, what: str) -> None:
     if n > MAX_MODULUS:
         raise ValueError(f"{what} = {n} exceeds the largest modulus, {MAX_MODULUS}")
@@ -427,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "JSON output is the source of truth; CSV is a lossy projection. "
                     f"Moduli are limited to {MAX_MODULUS}: -f, --fmax, a prime p at which "
                     "towers are built (-p, --pmax), and a modulus p, p^rmax or pq built "
-                    "from -p and -q beyond it exit 2.",
+                    "from -p and -q beyond it exit 2, and so does a -p of hminus or star "
+                    f"above {MAX_CLASS_NUMBER_PRIME}.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -465,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("hminus", help="minus class number from the L-value product")
-    sp.add_argument("-p", type=_modulus, required=True,
-                    help=f"odd prime (at most {MAX_MODULUS})")
+    sp.add_argument("-p", type=_class_number_prime, required=True,
+                    help=f"odd prime (at most {MAX_CLASS_NUMBER_PRIME})")
     common(sp, precision=False)
 
     sp = sub.add_parser("irregular", help="irregular pairs (p, k) with p <= pmax")
@@ -496,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("star", help="unique pole and the class-number product mod p")
-    sp.add_argument("-p", type=_modulus, required=True, help=f"odd prime (at most {MAX_MODULUS})")
+    sp.add_argument("-p", type=_class_number_prime, required=True,
+                    help=f"odd prime (at most {MAX_CLASS_NUMBER_PRIME})")
     common(sp)
 
     sp = sub.add_parser("congruence", help="residue congruences between L-values (evidence)")
@@ -532,15 +558,41 @@ def main(argv=None) -> int:
     except (TheoremViolation, NonIntegralResult, PrecisionExhausted) as exc:
         envelope = _envelope(args.command, params, [], [],
                              {"error": f"{type(exc).__name__}: {exc}"}, "violation")
-        _emit(envelope, getattr(args, "format", "json"))
-        return 1
+        code = 1
     except _INPUT_ERRORS as exc:
         print(f"lzero {args.command}: {exc}", file=sys.stderr)
         return 2
-    envelope = _envelope(args.command, params, towers, records, summary, status)
-    _emit(envelope, getattr(args, "format", "json"))
-    if status != "ok" and args.strict:
-        return 1
+    else:
+        envelope = _envelope(args.command, params, towers, records, summary, status)
+        code = 1 if status != "ok" and args.strict else 0
+    return _report(envelope, getattr(args, "format", "json"), args.command) or code
+
+
+def _report(envelope: dict, fmt: str, command: str) -> int:
+    """_emit the envelope and flush: 0, or the exit code of a failed write.
+
+    Ints render at any size: the interpreter's cap on int-to-str digits
+    (4300 by default, from Python 3.10.7 on) guards parsing untrusted text,
+    and every int here was computed.  A render error is a bug, not a
+    violation, so it is not exit 1.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(envelope, fmt)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at /dev/null so that the flush at
+        # exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
+    except (TypeError, ValueError) as exc:
+        print(f"lzero {command}: cannot render the report: {exc}", file=sys.stderr)
+        return EXIT_RENDER_FAILED
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

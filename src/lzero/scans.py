@@ -15,7 +15,8 @@ Galois already determines most of what a conjugate needs:
 
 * B_{1,chi^j} = sigma_j(B_{1,chi}) with sigma_j: zeta_k -> zeta_k^j, so one
   bucket sum per orbit gives every member's L-value
-  (bernoulli.orbit_l_values).
+  (bernoulli.orbit_l_values).  The bound scan needs only the denominator of
+  each, a Galois invariant, so it reads the representative's value alone.
 * The field cut out by chi^j is that of chi, and so is its number w of roots
   of unity.
 * Write k = p^a k'.  The decomposition group of p in (Z/k)^* is
@@ -354,14 +355,25 @@ def _bound_record(chi: DirichletChar, w: int, lv: CycloElt) -> BoundRecord:
 def deligne_ribet_scan(f_max: int) -> list[BoundRecord]:
     """Run the root-of-unity bound check over all odd conductors <= f_max.
 
-    One Galois orbit at a time: its members cut out one field, so share w,
-    and their L-values are conjugates (bernoulli.orbit_l_values).  Rows come
-    in the order of primitive_odd_characters.
+    One Galois orbit at a time, with one L-value per orbit: its members cut
+    out one field, so share w, and their L-values are the conjugates
+    sigma_j(L(0, chi)) of the representative's.  The check reads only the
+    denominator of L(0, chi^j) (whether it divides w), and the value was
+    already checked nonzero when it was summed.  Both are Galois invariants.
+    The power basis is an integral basis, so the denominator of z is the
+    least c > 0 with c * z in Z[zeta_k]; sigma_j is an automorphism of
+    Z[zeta_k], so c * z lies in it exactly when c * sigma_j(z) does, and z
+    and sigma_j(z) share their denominator; and sigma_j(z) = 0 only if
+    z = 0.  So every member is checked against the representative's value,
+    and only the representative's is summed or read from the cache.  Rows
+    come in the order of primitive_odd_characters.
     """
     rows = []
     for orbit in galois_orbits(f_max):
-        w = root_of_unity_order(orbit[0][1])
-        rows.extend(_bound_record(rec.chi, w, rec.l_at_zero) for rec in orbit_l_values(orbit))
+        rep = orbit[0][1]
+        w = root_of_unity_order(rep)
+        lv = l_value_at_zero(rep).l_at_zero
+        rows.extend(_bound_record(chi, w, lv) for _j, chi in orbit)
     rows.sort(key=lambda r: (r.modulus, r.exponents))
     return rows
 

@@ -23,8 +23,10 @@ from lzero import (
     pow_char,
     set_cache_dir,
 )
+from lzero import bernoulli
 from lzero.cache import B1Cache, _tail
-from lzero.errors import ImprimitiveInput
+from lzero.characters import UnitGroupBasis, unit_group_basis
+from lzero.errors import ImprimitiveInput, NonIntegralResult
 from lzero.nt import primes_upto
 
 
@@ -148,6 +150,38 @@ def test_galois_equivariance_of_b1():
 )
 def test_minus_class_number_table(p, h):
     assert minus_class_number(p) == h
+
+
+def _whole_product_h_minus(p):
+    """h_minus(p) by the first method: every odd L-value mod p multiplied,
+    one character at a time, into one element of Q(zeta_(p-1))."""
+    odd_chars = enumerate_characters(p, parity="odd")
+    prod = CycloElt.one()
+    for chi in odd_chars:
+        prod = prod * l_value_at_zero(chi).l_at_zero
+    val = prod.rational_value()
+    assert val is not None
+    h = Fraction(p) * val / Fraction(2) ** ((p - 3) // 2)
+    assert h > 0 and h.denominator == 1
+    return int(h)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_upto(211) if p > 2])
+def test_minus_class_number_equals_the_whole_product(p):
+    assert minus_class_number(p) == _whole_product_h_minus(p)
+
+
+@pytest.mark.parametrize("p", [7, 13, 29, 41])
+def test_an_orbit_norm_short_of_q_is_caught(p, monkeypatch):
+    # skipping the last cyclic factor of (Z/k)^* leaves a relative norm to a
+    # proper subfield, which is not rational
+    def short_basis(k):
+        basis = unit_group_basis(k)
+        return UnitGroupBasis(k, basis.generators[:-1])
+
+    monkeypatch.setattr(bernoulli, "unit_group_basis", short_basis)
+    with pytest.raises(NonIntegralResult, match="is not rational"):
+        minus_class_number(p)
 
 
 def test_minus_class_number_rejects_composite():

@@ -230,6 +230,21 @@ def test_modulus_above_the_limit_rejected(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["hminus", "-p", "2503"],
+    ["star", "-p", "2503"],
+    ["star", "-p", "32749"],
+])
+def test_class_number_prime_above_the_cap_rejected(argv, capsys):
+    # parsing only: the norms are never taken
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"at most {cli.MAX_CLASS_NUMBER_PRIME} " in capsys.readouterr().err
+    cap = cli.MAX_CLASS_NUMBER_PRIME
+    assert build_parser().parse_args([argv[0], "-p", str(cap)]).p == cap
+
+
+@pytest.mark.parametrize("argv", [
     ["remark2", "-p", "3", "--rmax", "10"],
     ["remark2", "-p", "3", "--rmax", "1000000000"],
     ["corollary1", "-p", "5", "-q", "32441"],
@@ -440,6 +455,42 @@ def test_violation_envelope_exit_1(monkeypatch, capsys):
     assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
     code, out, _ = run_cli(["prop1", "--fmax", "20", "--pmax", "11", "--format", "csv"], capsys)
     assert code == 1 and out == ""
+
+
+def test_an_int_of_any_size_renders(monkeypatch, capsys):
+    # str() of an int past 4300 digits raises by default; h_minus(p) has
+    # that many from p ~ 7600 on
+    monkeypatch.setattr(cli, "minus_class_number", lambda p: 10**5000)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["hminus", "-p", "5"], capsys)
+    assert code == 0 and err == ""
+    assert out.count('"h_minus": 1' + "0" * 5000 + "\n") == 1
+    assert out.count('"h_minus": 1' + "0" * 5000 + ",\n") == 1
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run_cli(["hminus", "-p", "5", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == "h_minus,p\n1" + "0" * 5000 + ",5\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_render_failure_is_not_a_violation(fmt, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "minus_class_number", lambda p: object())
+    code, _, err = run_cli(["hminus", "-p", "5", "--format", fmt], capsys)
+    assert code == cli.EXIT_RENDER_FAILED == 3
+    assert err.startswith("lzero hminus: cannot render the report: ")
+
+
+def test_a_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lzero", "prop1", "--fmax", "60", "--pmax", "13"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE_CLOSED == 141
+    assert err == b""
 
 
 class _Recorder:

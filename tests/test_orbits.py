@@ -1,10 +1,12 @@
 """Galois orbits as the unit of work, against per-character references.
 
 The classification scan and the root-of-unity bound scan take one Galois
-orbit of characters at a time: B_{1,chi} is summed once per orbit and
-conjugated, and at each p one value per coset of the decomposition group is
-embedded.  Each test here rebuilds the same answer one character at a time
-(integrality_verdict, deligne_ribet_check, l_value_at_zero) and compares.
+orbit of characters at a time: B_{1,chi} is summed once per orbit, the
+classification scan conjugates it and at each p embeds one value per coset
+of the decomposition group, and the bound scan checks every member against
+the one value, whose denominator is a Galois invariant.  Each test here
+rebuilds the same answer one character at a time (integrality_verdict,
+deligne_ribet_check, l_value_at_zero) and compares.
 """
 
 from math import gcd
@@ -28,6 +30,8 @@ from lzero import (
 )
 from lzero import bernoulli, scans
 from lzero.bernoulli import b1_cache
+from lzero.cli import main
+from lzero.cyclo import CycloElt
 from lzero.nt import euler_phi, multiplicative_order, primes_upto, valuation
 
 # the wild cases (p^2 | f) of tests/test_galois_norm.py
@@ -118,6 +122,53 @@ def test_decomposition_cosets_are_the_cosets_of_p():
 def test_deligne_ribet_scan_equals_per_character_checks():
     chars = primitive_odd_characters(60)
     assert deligne_ribet_scan(60) == [deligne_ribet_check(chi) for chi in chars]
+
+
+def test_conjugates_share_the_denominator_and_are_nonzero():
+    # what the bound scan relies on to check every member against one value
+    for orbit in galois_orbits(60):
+        lv = l_value_at_zero(orbit[0][1]).l_at_zero
+        for j, chi in orbit:
+            conj = lv.galois_conj(j)
+            assert conj.den == lv.den, (chi, j)
+            assert not conj.is_zero(), (chi, j)
+            assert bernoulli._b1_sum(chi).den == lv.den, (chi, j)
+
+
+def test_deligne_ribet_scan_reads_one_value_per_orbit(monkeypatch, fresh_cache):
+    orbits = galois_orbits(60)
+    held = orbits[::3]  # orbits whose representative the cache already holds
+    for orbit in held:
+        l_value_at_zero(orbit[0][1])
+
+    def forbidden(*args):
+        raise AssertionError("the bound scan conjugates nothing")
+
+    monkeypatch.setattr(CycloElt, "galois_conj", forbidden)
+    monkeypatch.setattr(bernoulli, "orbit_l_values", forbidden)
+    monkeypatch.setattr(scans, "orbit_l_values", forbidden)
+    sums = []
+    b1_sum = bernoulli._b1_sum
+    monkeypatch.setattr(bernoulli, "_b1_sum", lambda chi: sums.append(chi.key()) or b1_sum(chi))
+    rows = deligne_ribet_scan(60)
+    assert len(rows) == sum(map(len, orbits))
+    assert sums == [orbit[0][1].key() for orbit in orbits if orbit not in held]
+    assert fresh_cache._mem.keys() == {orbit[0][1].key() for orbit in orbits}
+
+
+def test_deligne_ribet_cli_caches_one_line_per_orbit(monkeypatch, capsys, tmp_path):
+    argv = ["deligne-ribet", "--fmax", "60", "--cache-dir", str(tmp_path)]
+    try:
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        lines = (tmp_path / "b1chi.jsonl").read_text().splitlines()
+        assert len(lines) == len(galois_orbits(60))
+        monkeypatch.setattr(bernoulli, "_b1_sum", lambda chi: pytest.fail(f"summed {chi}"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert (tmp_path / "b1chi.jsonl").read_text().splitlines() == lines
+    finally:
+        set_cache_dir(None)
 
 
 def test_orbit_l_values_sum_once_per_orbit(monkeypatch, fresh_cache):
