@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from lzero.cyclo import CycloElt
 from lzero.errors import TheoremViolation
 from lzero.nt import crt_pair, factorize, smallest_primitive_root, valuation
 
 
-@dataclass(frozen=True)
-class UnitGroupBasis:
+class UnitGroupBasis(NamedTuple):
     """Canonical generators of (Z/modulus)^* with their orders."""
 
     modulus: int
@@ -78,20 +77,28 @@ def _dlog_table(modulus: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
-@dataclass(frozen=True)
-class DirichletChar:
-    """A character of (Z/modulus)^*, extended by zero off the units."""
-
+class _DirichletCharFields(NamedTuple):
     modulus: int
     exponents: tuple[int, ...]
 
-    def __post_init__(self):
-        basis = unit_group_basis(self.modulus)
-        if len(self.exponents) != len(basis.generators):
+
+class DirichletChar(_DirichletCharFields):
+    """A character of (Z/modulus)^*, extended by zero off the units.
+
+    A named tuple (modulus, exponents); the exponent vector is checked
+    against the canonical basis when the character is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, exponents: tuple[int, ...]):
+        basis = unit_group_basis(modulus)
+        if len(exponents) != len(basis.generators):
             raise ValueError("exponent vector length does not match the basis")
-        for e, (_, o) in zip(self.exponents, basis.generators):
+        for e, (_, o) in zip(exponents, basis.generators):
             if not 0 <= e < o:
                 raise ValueError("exponent out of range for generator order")
+        return tuple.__new__(cls, (modulus, exponents))
 
     @property
     def value_order(self) -> int:

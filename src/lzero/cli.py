@@ -8,10 +8,11 @@ inputs: records are canonically sorted, valuations are exact "a/b" strings
 and nothing timestamped enters the body.
 
 The envelope is written while it is walked (``_JsonWriter``).  Its bytes are
-those of ``json.dumps(envelope, sort_keys=True, indent=2)``, but records are
-read in place and go to standard output one at a time, so the document is
-never held whole, and each tower descriptor is rendered once and its text
-reused for every record that carries it.
+those of ``json.dumps(envelope, sort_keys=True, indent=2)``, but records,
+immutable named tuples, are read field by field in place and go to standard
+output one at a time, so the document is never held whole, and each tower
+descriptor is rendered once and its text reused for every record that
+carries it.
 
 Exit codes: 0 all checks passed; 1 a proved statement failed to verify
 (which would mean a bug) or, under ``--strict``, a conjecture-level anomaly
@@ -23,8 +24,6 @@ standard output was closed before the report was written (``| head``).
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import os
 import sys
@@ -105,10 +104,11 @@ class _JsonWriter:
     """JSON text of records, as ``json.dumps(value, sort_keys=True, indent=2)``
     writes it, or with ``compact`` as ``separators=(",", ":")`` writes it.
 
-    Records are read where they stand: dataclass fields in place, dict keys
-    as ``str(key)``, tuples as lists and a Fraction as its "a/b" string; any
-    other type raises TypeError.  A tower descriptor is rendered once per
-    (p, k, precision) and indentation, and its text reused.  Not
+    Records are read where they stand: a named tuple as an object of its
+    ``_fields``, dict keys as ``str(key)``, other tuples as lists and a
+    Fraction as its "a/b" string; any other type raises TypeError.  A tower
+    descriptor is rendered once per (p, k, precision) and indentation, and
+    its text reused.  Not
     ``json.JSONEncoder(sort_keys=True, indent=2).iterencode``: an indent runs
     the pure-Python encoder, 0.5 s of CPU against 0.1 s on the scan envelope.
     """
@@ -116,7 +116,7 @@ class _JsonWriter:
     def __init__(self, compact: bool = False):
         self._step = "" if compact else "  "
         self._colon = ":" if compact else ": "
-        self._fields = {}  # dataclass type -> (field names, their rendered keys), sorted
+        self._fields = {}  # named tuple type -> (field indices, their rendered keys), by name
         self._towers = {}  # (p, k, precision, line break + indentation) -> text
 
     def dumps(self, obj) -> str:
@@ -187,11 +187,12 @@ class _JsonWriter:
         if cls is tuple or cls is list:
             return "[", "]", repeat(""), obj
         if cls in self._fields:
-            names, keys = self._fields[cls]
-            return "{", "}", keys, [getattr(obj, n) for n in names]
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            names = sorted(f.name for f in dataclasses.fields(obj))
-            self._fields[cls] = (names, [_ESCAPE(n) + self._colon for n in names])
+            order, keys = self._fields[cls]
+            return "{", "}", keys, [obj[i] for i in order]
+        if isinstance(obj, tuple) and hasattr(cls, "_fields"):
+            names = cls._fields
+            order = sorted(range(len(names)), key=names.__getitem__)
+            self._fields[cls] = (order, [_ESCAPE(names[i]) + self._colon for i in order])
             return self._container(obj)
         if isinstance(obj, dict):
             items = sorted({str(k): v for k, v in obj.items()}.items())
@@ -212,8 +213,8 @@ def _csv_cell(value, writer: _JsonWriter):
 
 
 def _csv_row(record) -> dict:
-    if dataclasses.is_dataclass(record) and not isinstance(record, type):
-        return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    if isinstance(record, tuple) and hasattr(record, "_asdict"):
+        return record._asdict()
     return {str(k): v for k, v in record.items()}
 
 
@@ -225,6 +226,8 @@ def _emit(envelope: dict, fmt: str) -> None:
     records = envelope["records"]
     if not records:
         return
+    import csv  # only here: a JSON start-up need not load it
+
     keys = sorted({k for rec in records for k in _csv_row(rec)})
     cells = _JsonWriter(compact=True)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -315,7 +318,7 @@ def _require_odd_prime(p: int) -> None:
 
 def _cmd_prop1(args):
     records = nonintegral_locus_scan(args.fmax, args.pmax, args.precision, args.jobs)
-    neg = sum(1 for r in records if r.valuation < 0)
+    neg = sum(1 for r in records if r.valuation.numerator < 0)
     probes = [r for r in records if r.question2_zero is not None]
     summary = {
         "records": len(records),

@@ -46,10 +46,10 @@ polynomial and a modulus.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
+from typing import NamedTuple
 
 from lzero._kernels import tower_mul
 from lzero.characters import DirichletChar, eval_exponent, unit_group_basis, _char_data
@@ -324,10 +324,7 @@ class TowerDescriptor(dict):
     """
 
 
-@dataclass(frozen=True)
-class PadicTower:
-    """The fixed local model for (p, k) at working precision p^N."""
-
+class _PadicTowerFields(NamedTuple):
     p: int
     k: int
     precision: int
@@ -336,6 +333,14 @@ class PadicTower:
     f_res: int             # residue degree = deg of the chosen factor
     e_ram: int             # ramification index = phi(p^a)
     lifted_factor: tuple[int, ...]       # monic divisor of Phi_{k'} mod p^N
+
+
+class PadicTower(_PadicTowerFields):
+    """The fixed local model for (p, k) at working precision p^N.
+
+    A named tuple of the fields above.  No __slots__: the tables below are
+    cached_propertys, kept in the instance __dict__.
+    """
 
     @property
     def modulus(self) -> int:
@@ -406,8 +411,7 @@ def build_tower(p: int, k: int, precision: int = N_START) -> PadicTower:
     return PadicTower(p, k, precision, k1, a, len(g_N) - 1, euler_phi(p**a), tuple(g_N))
 
 
-@dataclass(frozen=True, eq=False)
-class PadicElt:
+class PadicElt(NamedTuple):
     """An element C / p^shift with C an e x f coefficient matrix mod p^N."""
 
     tower: PadicTower

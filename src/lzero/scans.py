@@ -35,9 +35,9 @@ of chi), and with it the classification and Question 2 fields of a record.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .bernoulli import (
     b1_cache,
@@ -100,8 +100,7 @@ def omega_inverse_char(p: int) -> DirichletChar:
     return pow_char(omega_char(p), p - 2)
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(NamedTuple):
     """The integrality verdict for one pair (chi, p).
 
     ``valuation`` is the exact valuation of L(0, chi) at the chosen place
@@ -152,25 +151,17 @@ def _verdict_record(
     f = chi.modulus
     is_ppow = f > 1 and f == p ** valuation(f, p)
     om_inv = char_is_omega_power_mod_p(chi, p, -1)
-    consistent = (val < 0) == (is_ppow and om_inv)
+    sign = val.numerator  # the sign of val, read off an int
+    consistent = (sign < 0) == (is_ppow and om_inv)
     q2 = None
-    if om_inv and not is_ppow and val >= 0:
-        q2 = val > 0
+    if om_inv and not is_ppow and sign >= 0:
+        q2 = sign > 0
     notes = ""
     if tower["precision"] != n_start:
         notes = f"precision escalated to {tower['precision']}"
-    return VerdictRecord(
-        modulus=f,
-        exponents=chi.exponents,
-        p=p,
-        tower=tower,
-        valuation=val,
-        global_integral=lv.is_algebraic_integer(),
-        omega_inverse=om_inv,
-        classification_consistent=consistent,
-        question2_zero=q2,
-        notes=notes,
-    )
+    # fields by position: a named tuple is built about 4x slower from keywords
+    return VerdictRecord(f, chi.exponents, p, tower, val, lv.is_algebraic_integer(), om_inv,
+                         consistent, q2, notes)
 
 
 def expected_pole_depth(p: int, r: int) -> Fraction:
@@ -260,7 +251,7 @@ def nonintegral_locus_scan(
                 f"chi mod {rec.modulus} {rec.exponents} at p={rec.p}: "
                 f"valuation {rec.valuation} contradicts the classification"
             )
-        if rec.valuation < 0:
+        if rec.valuation.numerator < 0:
             r = valuation(rec.modulus, rec.p)
             want = expected_pole_depth(rec.p, r)
             if rec.valuation != want:
@@ -276,7 +267,7 @@ def _check_count_law(records: list[VerdictRecord], f_max: int, primes: list[int]
     """Non-integral loci at conductor p^d number 1 (d=1) or phi(p^(d-1))."""
     observed: dict[tuple[int, int], int] = {}
     for rec in records:
-        if rec.valuation < 0:
+        if rec.valuation.numerator < 0:
             d = valuation(rec.modulus, rec.p)
             observed[rec.p, d] = observed.get((rec.p, d), 0) + 1
     for p in primes:
@@ -322,8 +313,7 @@ def root_of_unity_order(chi: DirichletChar) -> int:
     return lcm(2, best)
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     """One root-of-unity integrality bound check: w * L(0, chi) integral."""
 
     modulus: int
@@ -378,8 +368,7 @@ def deligne_ribet_scan(f_max: int) -> list[BoundRecord]:
     return rows
 
 
-@dataclass(frozen=True)
-class CongruenceRow:
+class CongruenceRow(NamedTuple):
     """One Kummer congruence instance B_{1, omega^n} = B_{n+1}/(n+1) mod p."""
 
     p: int
@@ -430,8 +419,7 @@ def kummer_scan(p_max: int) -> list[CongruenceRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class PoleDepthRow:
+class PoleDepthRow(NamedTuple):
     """Expected vs computed valuation at one non-integral locus mod p^r."""
 
     modulus: int
@@ -486,8 +474,7 @@ def _pole_depths(p: int, r_max: int, n_start: int) -> tuple[list[PoleDepthRow], 
     return rows, towers
 
 
-@dataclass(frozen=True)
-class ProductIdentityReport:
+class ProductIdentityReport(NamedTuple):
     """The minus-class-number product over odd characters mod p."""
 
     p: int
@@ -508,13 +495,35 @@ def odd_product_identity_check(p: int, n_start: int = N_START) -> ProductIdentit
 
 
 def _odd_product_identity(p: int, n_start: int) -> tuple[ProductIdentityReport, list[PadicTower]]:
-    """odd_product_identity_check's report and its factors' towers."""
+    """odd_product_identity_check's report and its factors' towers.
+
+    The odd characters mod p are taken one Galois orbit at a time, as in
+    _orbit_verdicts: chi^m's orbit is {chi^(mj) : gcd(j, k) = 1}, k the value
+    order of chi^m, its L-values come from one bucket sum (orbit_l_values),
+    and the valuation is taken once per coset of the decomposition group.
+    An orbit is judged when its first member comes up in the order of
+    enumerate_characters, so the factors and the checks keep that order.
+    """
     h = minus_class_number(p)
+    chars = enumerate_characters(p, primitive_only=True, parity="odd")
+    by_exponent = {chi.exponents[0]: chi for chi in chars}
+    judged: dict[int, tuple[Fraction, PadicTower]] = {}  # exponent -> (v, tower)
     factors = []
     towers = []
     poles = []
-    for chi in enumerate_characters(p, primitive_only=True, parity="odd"):
-        v, tower, _image = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)
+    for chi in chars:
+        m = chi.exponents[0]
+        if m not in judged:
+            k = chi.value_order
+            orbit = [(j, by_exponent[m * j % (p - 1)]) for j in range(1, k) if gcd(j, k) == 1]
+            cosets: dict[int, tuple[Fraction, PadicTower]] = {}
+            for (_j, member), rec, coset in zip(
+                orbit, orbit_l_values(orbit), _decomposition_cosets(p, k, [j for j, _ in orbit])
+            ):
+                if coset not in cosets:
+                    cosets[coset] = cyclo_valuation(rec.l_at_zero, p, n_start)[:2]
+                judged[member.exponents[0]] = cosets[coset]
+        v, tower = judged[m]
         factors.append((chi.exponents, v))
         towers.append(tower)
         if v < 0:
@@ -576,8 +585,7 @@ def straightened_character(chi: DirichletChar, p: int) -> DirichletChar:
     return primitivize(pow_char(chi, k // k1 * beta % k))
 
 
-@dataclass(frozen=True)
-class CongruencePair:
+class CongruencePair(NamedTuple):
     """Residues of two congruent characters' L-values, compared.
 
     The residues are taken after moving both characters to their common
@@ -600,8 +608,7 @@ class CongruencePair:
     equal: bool
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Evidence (never an assertion) for congruences between L-values."""
 
     p: int

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import enum
 import io
 import json
@@ -12,6 +11,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,22 +338,21 @@ def test_strict_flag_turns_anomalies_into_failure(capsys):
 # the JSON writer against json.dumps
 
 
-@dataclasses.dataclass(frozen=True)
-class _Record:
+class _Record(NamedTuple):
     valuation: object
     exponents: object
     notes: object = ""
 
 
 def _ref(obj):
-    """A JSON-safe copy of obj: dataclasses and dicts to dicts with str keys,
-    tuples to lists, a Fraction to its "a/b" string."""
+    """A JSON-safe copy of obj: named tuples and dicts to dicts with str keys,
+    other tuples to lists, a Fraction to its "a/b" string."""
     if isinstance(obj, Fraction):
         return str(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _ref(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        return {k: _ref(v) for k, v in obj._asdict().items()}
     if isinstance(obj, dict):
         return {str(k): _ref(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -390,6 +389,15 @@ def test_writer_matches_json_dumps(obj):
     assert _JsonWriter().dumps(obj) == json.dumps(_ref(obj), sort_keys=True, indent=2)
     assert (_JsonWriter(compact=True).dumps(obj)
             == json.dumps(_ref(obj), sort_keys=True, separators=(",", ":")))
+
+
+def test_named_tuple_renders_as_an_object_and_a_tuple_as_a_list():
+    obj = [_Record(Fraction(-1, 2), (3, 1), notes=None), (3, 1)]
+    assert _JsonWriter(compact=True).dumps(obj) == (
+        '[{"exponents":[3,1],"notes":null,"valuation":"-1/2"},[3,1]]')
+    assert _JsonWriter().dumps(obj) == json.dumps(
+        [{"valuation": "-1/2", "exponents": [3, 1], "notes": None}, [3, 1]],
+        sort_keys=True, indent=2)
 
 
 def _csv_reference(records) -> str:
@@ -552,6 +560,14 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_importing_the_cli_leaves_dataclasses_inspect_and_csv_unloaded():
+    # records are named tuples, and csv is imported only for --format csv
+    code = "import sys, lzero.cli; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_console_script_if_installed():

@@ -15,8 +15,10 @@ import pytest
 
 from lzero import (
     N_START,
+    cyclo_valuation,
     deligne_ribet_check,
     deligne_ribet_scan,
+    enumerate_characters,
     galois_orbits,
     integrality_verdict,
     is_odd,
@@ -215,3 +217,18 @@ def test_orbit_l_values_needs_its_representative_first():
     orbit = galois_orbits(5)[-1]
     with pytest.raises(ValueError):
         orbit_l_values(orbit[::-1])
+
+
+@pytest.mark.parametrize("p", [3, 7, 31, 37, 41, 61])
+def test_star_by_orbits_equals_per_character_reference(fresh_cache, monkeypatch, p):
+    sums = []
+    b1_sum = bernoulli._b1_sum
+    monkeypatch.setattr(bernoulli, "_b1_sum", lambda chi: sums.append(chi) or b1_sum(chi))
+    rep, towers = scans._odd_product_identity(p, N_START)
+    chars = enumerate_characters(p, primitive_only=True, parity="odd")
+    # one bucket sum per orbit: minus_class_number sums each orbit's first
+    # member, and the star check conjugates it for the rest
+    assert len(sums) == len({gcd(chi.exponents[0], p - 1) for chi in chars})
+    judged = [cyclo_valuation(l_value_at_zero(chi).l_at_zero, p) for chi in chars]
+    assert rep.factors == tuple((chi.exponents, v) for chi, (v, _t, _i) in zip(chars, judged))
+    assert towers == [t for _v, t, _i in judged]

@@ -1,0 +1,159 @@
+"""Records are immutable named tuples: fields, equality, hashing, pickling.
+
+Every record type of the package is a ``typing.NamedTuple`` (DirichletChar
+and PadicTower through a named-tuple base, for the constructor's checks and
+the tower's cached tables).  The CLI reads them through ``_fields`` and
+``--jobs`` workers send them back pickled.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from lzero import (
+    DirichletChar,
+    build_tower,
+    embed_padic,
+    integrality_verdict,
+    l_value_at_zero,
+    unit_group_basis,
+)
+from lzero import padic
+from lzero.cyclo import CycloElt
+from lzero.scans import (
+    _odd_product_identity,
+    _pole_depths,
+    deligne_ribet_check,
+    kummer_check,
+    residue_congruence_scan,
+)
+
+
+NAMES = sorted([
+    "UnitGroupBasis", "DirichletChar", "LValueRecord", "PadicTower", "PadicElt",
+    "VerdictRecord", "BoundRecord", "CongruenceRow", "PoleDepthRow",
+    "ProductIdentityReport", "CongruencePair", "CongruenceReport",
+])
+
+
+@pytest.fixture(scope="module")
+def samples():
+    """One instance of each of the twelve record types, built by the code
+    that builds them in a run."""
+    chi = DirichletChar(7, (1,))
+    tower = build_tower(5, 20, 16)
+    report = residue_congruence_scan(40, 3)
+    return {
+        "UnitGroupBasis": unit_group_basis(15),
+        "DirichletChar": chi,
+        "LValueRecord": l_value_at_zero(chi),
+        "PadicTower": tower,
+        "PadicElt": embed_padic(CycloElt.zeta(20, 3), tower),
+        "VerdictRecord": integrality_verdict(chi, 7),
+        "BoundRecord": deligne_ribet_check(chi),
+        "CongruenceRow": kummer_check(7)[0],
+        "PoleDepthRow": _pole_depths(5, 2, 16)[0][0],
+        "ProductIdentityReport": _odd_product_identity(7, 16)[0],
+        "CongruencePair": report.pairs[0],
+        "CongruenceReport": report,
+    }
+
+
+def test_every_record_type_is_sampled(samples):
+    assert sorted(type(rec).__name__ for rec in samples.values()) == NAMES == sorted(samples)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_record_is_a_named_tuple(samples, name):
+    rec = samples[name]
+    assert isinstance(rec, tuple)
+    assert type(rec)._fields == tuple(rec._asdict())
+    assert list(rec) == [getattr(rec, f) for f in rec._fields]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_cannot_be_assigned(samples, name):
+    rec = samples[name]
+    for field in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+    assert rec == type(rec)(*rec)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality_and_hash_go_by_the_fields(samples, name):
+    rec = samples[name]
+    copy = type(rec)(*rec)
+    assert copy == rec and copy is not rec
+    other = list(rec)
+    other[0] = object()
+    assert type(rec)._make(other) != rec
+    try:
+        want = hash(tuple(rec))
+    except TypeError:  # a dict or CycloElt field: unhashable, as the record
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(copy) == want
+
+
+@pytest.mark.parametrize("name", ["VerdictRecord", "DirichletChar"])
+def test_pickle_round_trips(samples, name):
+    # --jobs workers send both back to the parent pickled
+    rec = samples[name]
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and type(back) is type(rec)
+
+
+def test_verdict_record_notes_default(samples):
+    rec = samples["VerdictRecord"]
+    assert type(rec)(*rec[:-1]) == rec._replace(notes="")
+
+
+_BAD_CHARACTERS = """
+import sys
+from lzero import DirichletChar
+for modulus, exponents in [(15, (1,)), (15, (1, 1, 0)), (7, (6,)), (7, (-1,)), (15, (0, 4))]:
+    try:
+        DirichletChar(modulus, exponents)
+    except ValueError as exc:
+        print(exc)
+    else:
+        sys.exit(4)
+print(DirichletChar(15, (1, 3)))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_dirichlet_char_checks_its_exponents(flags):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LZERO_")}
+    proc = subprocess.run([sys.executable, *flags, "-c", _BAD_CHARACTERS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    length = "exponent vector length does not match the basis\n"
+    bound = "exponent out of range for generator order\n"
+    assert proc.stdout == (2 * length + 3 * bound
+                           + "DirichletChar(modulus=15, exponents=(1, 3))\n")
+
+
+def test_zeta_power_columns_are_built_once_per_tower(monkeypatch):
+    want = build_tower(7, 36, 16).zeta_power_columns
+    calls = []
+    x_powers = padic._x_powers
+
+    def counting(*args):
+        calls.append(args)
+        return x_powers(*args)
+
+    monkeypatch.setattr(padic, "_x_powers", counting)
+    tower = padic.PadicTower(*build_tower(7, 36, 16))  # a copy with no tables yet
+    first = tower.zeta_power_columns
+    assert tower.zeta_power_columns is first
+    embed_padic(CycloElt.zeta(36, 5), tower)
+    assert len(calls) == 1
+    assert first == want
+    other = padic.PadicTower(*tower)
+    assert other.zeta_power_columns is not first and len(calls) == 2
