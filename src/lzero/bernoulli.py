@@ -20,8 +20,9 @@ from typing import NamedTuple
 from lzero.cache import CACHE_ENV_VAR, B1Cache
 from lzero.characters import (
     DirichletChar,
-    _dlog_table,
     _char_data,
+    _units,
+    _value_exponents,
     enumerate_characters,
     is_odd,
     is_primitive,
@@ -78,12 +79,14 @@ class LValueRecord(NamedTuple):
 
 
 def _b1_sum(chi: DirichletChar) -> CycloElt:
-    """(1/f) sum a*chi(a), accumulated per character value to stay integer."""
+    """(1/f) sum a*chi(a), accumulated per character value to stay integer.
+
+    The units and chi's exponents on them come in the same product order
+    (see lzero.characters)."""
     f = chi.modulus
-    k, weights = _char_data(chi.modulus, chi.exponents)
+    k, _ = _char_data(chi.modulus, chi.exponents)
     buckets = [0] * k
-    for a, exps in _dlog_table(f).items():
-        m = sum(t * w for t, w in zip(exps, weights)) % k
+    for a, m in zip(_units(f), _value_exponents(chi)):
         buckets[m] += a
     return CycloElt.from_exponent_sums(k, buckets, f)
 

@@ -9,11 +9,21 @@ generator system is canonical so that the encoding is reproducible:
   contributes the pair (-1, 5) with orders (2, 2^(a-2));
 * component generators are CRT-lifted to be 1 in the other components and
   listed by increasing prime.
+
+Product order.  The units of Z/f are listed once, in a fixed order that
+this module alone defines: the order of itertools.product over the
+exponent ranges range(o_1), ..., range(o_r), the last generator's exponent
+varying fastest (_exponent_vectors).  _units(f) holds the units in that
+order, and _dlog_table(f) is built from it, with the same insertion order.
+_value_exponents lists chi's exponents on the units in the same order, so
+a sum over the units, such as B_{1,chi}, zips the two lists and never reads
+the dict; is_odd finds -1 by its place in _units.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -64,17 +74,32 @@ def unit_group_basis(modulus: int) -> UnitGroupBasis:
     return UnitGroupBasis(modulus, tuple(gens))
 
 
+def _exponent_vectors(modulus: int) -> Iterator[tuple[int, ...]]:
+    """Every exponent tuple on the canonical generators, in product order."""
+    return itertools.product(*(range(o) for _, o in unit_group_basis(modulus).generators))
+
+
+@functools.lru_cache(maxsize=None)
+def _units(modulus: int) -> tuple[int, ...]:
+    """The units prod g_i^(t_i) mod modulus in product order (see above):
+    one pass per generator multiplies every unit so far by each of its powers.
+
+    >>> _units(15)
+    (1, 7, 4, 13, 11, 2, 14, 8)
+    """
+    units = [1 % modulus]
+    for g, o in unit_group_basis(modulus).generators:
+        powers = [1]
+        for _ in range(o - 1):
+            powers.append(powers[-1] * g % modulus)
+        units = [u * x % modulus for u in units for x in powers]
+    return tuple(units)
+
+
 @functools.lru_cache(maxsize=None)
 def _dlog_table(modulus: int) -> dict[int, tuple[int, ...]]:
-    """residue -> exponent tuple on the canonical generators."""
-    basis = unit_group_basis(modulus)
-    table: dict[int, tuple[int, ...]] = {}
-    for exps in itertools.product(*(range(o) for _, o in basis.generators)):
-        r = 1
-        for (g, _), e in zip(basis.generators, exps):
-            r = r * pow(g, e, modulus) % modulus
-        table[r % modulus] = exps
-    return table
+    """residue -> exponent tuple on the canonical generators, in product order."""
+    return dict(zip(_units(modulus), _exponent_vectors(modulus)))
 
 
 class _DirichletCharFields(NamedTuple):
@@ -86,7 +111,8 @@ class DirichletChar(_DirichletCharFields):
     """A character of (Z/modulus)^*, extended by zero off the units.
 
     A named tuple (modulus, exponents); the exponent vector is checked
-    against the canonical basis when the character is built.
+    against the canonical basis when the character is built, also by _make
+    and _replace.
     """
 
     __slots__ = ()
@@ -99,6 +125,11 @@ class DirichletChar(_DirichletCharFields):
             if not 0 <= e < o:
                 raise ValueError("exponent out of range for generator order")
         return tuple.__new__(cls, (modulus, exponents))
+
+    @classmethod
+    def _make(cls, iterable) -> DirichletChar:
+        # the named tuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def value_order(self) -> int:
@@ -136,6 +167,22 @@ def eval_exponent(chi: DirichletChar, a: int) -> int | None:
     return sum(t * w for t, w in zip(exps, weights)) % k
 
 
+def _value_exponents(chi: DirichletChar) -> list[int]:
+    """eval_exponent(chi, a) for the units a of _units(chi.modulus), in that
+    order: sum_i t_i * w_i mod k over the exponent vectors t in product
+    order, one pass per generator.
+
+    >>> _value_exponents(DirichletChar(15, (1, 1)))
+    [0, 1, 2, 3, 2, 3, 0, 1]
+    """
+    k, weights = _char_data(chi.modulus, chi.exponents)
+    ms = [0]
+    for w, (_, o) in zip(weights, unit_group_basis(chi.modulus).generators):
+        steps = [t * w % k for t in range(o)]
+        ms = [(m + s) % k for m in ms for s in steps]
+    return ms
+
+
 def char_eval(chi: DirichletChar, a: int) -> CycloElt:
     """chi(a) as an exact element of Q(zeta_k); zero when gcd(a, f) > 1."""
     k = chi.value_order
@@ -145,13 +192,25 @@ def char_eval(chi: DirichletChar, a: int) -> CycloElt:
     return CycloElt.zeta(k, m)
 
 
+@functools.lru_cache(maxsize=None)
+def _minus_one_exponents(modulus: int) -> tuple[int, ...]:
+    """The exponent tuple of -1 on the canonical generators, read off its
+    place in _units(modulus), so that parity needs no dlog table.
+
+    >>> _minus_one_exponents(15)
+    (1, 2)
+    """
+    i = _units(modulus).index(modulus - 1)
+    return next(itertools.islice(_exponent_vectors(modulus), i, None))
+
+
 def is_odd(chi: DirichletChar) -> bool:
     """True when chi(-1) = -1."""
     f = chi.modulus
     if f <= 2:
         return False
-    m = eval_exponent(chi, f - 1)
-    k = chi.value_order
+    k, weights = _char_data(f, chi.exponents)
+    m = sum(t * w for t, w in zip(_minus_one_exponents(f), weights)) % k
     if m not in (0, k // 2 if k % 2 == 0 else 0):
         raise TheoremViolation("chi(-1) must be +1 or -1")
     return m != 0
@@ -246,10 +305,14 @@ def mul_chars(a: DirichletChar, b: DirichletChar) -> DirichletChar:
     return DirichletChar(m, exps)
 
 
-def pow_char(chi: DirichletChar, n: int) -> DirichletChar:
+def _pow_exponents(chi: DirichletChar, n: int) -> tuple[int, ...]:
+    """The exponent vector of chi^n."""
     basis = unit_group_basis(chi.modulus)
-    exps = tuple(e * n % o for e, (_, o) in zip(chi.exponents, basis.generators))
-    return DirichletChar(chi.modulus, exps)
+    return tuple([e * n % o for e, (_, o) in zip(chi.exponents, basis.generators)])
+
+
+def pow_char(chi: DirichletChar, n: int) -> DirichletChar:
+    return DirichletChar(chi.modulus, _pow_exponents(chi, n))
 
 
 def enumerate_characters(
@@ -299,14 +362,14 @@ def galois_orbits(f_max: int) -> list[list[tuple[int, DirichletChar]]]:
     >>> [[(j, c.modulus, c.exponents) for j, c in orbit] for orbit in galois_orbits(5)]
     [[(1, 3, (1,))], [(1, 4, (1,))], [(1, 5, (1,)), (3, 5, (3,))]]
     """
-    # members are the objects primitive_odd_characters made, not pow_char's
-    # equal copies, so each character is built once
+    # members are the objects primitive_odd_characters made, found by the
+    # key of chi^j, so each character is built once
     chars = primitive_odd_characters(f_max)
     left = {chi.key(): chi for chi in chars}
     orbits = []
     for chi in chars:
         if chi.key() in left:
-            k = chi.value_order
-            orbits.append([(j, left.pop(pow_char(chi, j).key())) for j in range(1, k)
+            f, k = chi.modulus, chi.value_order
+            orbits.append([(j, left.pop((f, _pow_exponents(chi, j)))) for j in range(1, k)
                            if gcd(j, k) == 1])
     return orbits

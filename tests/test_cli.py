@@ -245,6 +245,23 @@ def test_class_number_prime_above_the_cap_rejected(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["kummer", "-p"],
+    ["kummer", "--pmax"],
+    ["irregular", "--pmax"],
+])
+def test_bernoulli_prime_above_the_cap_rejected(argv, capsys):
+    # parsing only: no Bernoulli number is computed
+    cap = cli.MAX_BERNOULLI_PRIME
+    for value in [cap + 1, 1999, 100003]:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, str(value)])
+        assert exc.value.code == 2
+        assert f"at most {cap}, got {value}" in capsys.readouterr().err
+    args = build_parser().parse_args([*argv, str(cap)])
+    assert getattr(args, argv[-1].lstrip("-")) == cap
+
+
+@pytest.mark.parametrize("argv", [
     ["remark2", "-p", "3", "--rmax", "10"],
     ["remark2", "-p", "3", "--rmax", "1000000000"],
     ["corollary1", "-p", "5", "-q", "32441"],

@@ -88,8 +88,9 @@ def test_equality_and_hash_go_by_the_fields(samples, name):
     rec = samples[name]
     copy = type(rec)(*rec)
     assert copy == rec and copy is not rec
-    other = list(rec)
-    other[0] = object()
+    # DirichletChar's _make checks the fields, so its unequal copy is a
+    # different valid character
+    other = [7, (5,)] if name == "DirichletChar" else [object(), *rec[1:]]
     assert type(rec)._make(other) != rec
     try:
         want = hash(tuple(rec))
@@ -137,6 +138,32 @@ def test_dirichlet_char_checks_its_exponents(flags):
     bound = "exponent out of range for generator order\n"
     assert proc.stdout == (2 * length + 3 * bound
                            + "DirichletChar(modulus=15, exponents=(1, 3))\n")
+
+
+_BAD_COPIES = """
+from lzero import DirichletChar
+chi = DirichletChar(7, (1,))
+for build in [lambda: chi._replace(exponents=(9, 9)), lambda: DirichletChar._make((7, (9,)))]:
+    try:
+        build()
+    except ValueError as exc:
+        print(exc)
+    else:
+        raise SystemExit(4)
+print(chi._replace(exponents=(5,)), DirichletChar._make((15, (1, 3))))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_dirichlet_char_make_and_replace_check_exponents(flags):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LZERO_")}
+    proc = subprocess.run([sys.executable, *flags, "-c", _BAD_COPIES],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("exponent vector length does not match the basis\n"
+                           "exponent out of range for generator order\n"
+                           "DirichletChar(modulus=7, exponents=(5,)) "
+                           "DirichletChar(modulus=15, exponents=(1, 3))\n")
 
 
 def test_zeta_power_columns_are_built_once_per_tower(monkeypatch):
