@@ -314,6 +314,14 @@ def _bernoulli_prime(text: str) -> int:
     return n
 
 
+def _positive(text: str) -> int:
+    """An integer of at least 1: --rmax, and --jobs before its cap."""
+    n = _int_arg(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _require_modulus(n: int, what: str) -> None:
     if n > MAX_MODULUS:
         raise ValueError(f"{what} = {n} exceeds the largest modulus, {MAX_MODULUS}")
@@ -321,10 +329,7 @@ def _require_modulus(n: int, what: str) -> None:
 
 def _jobs(text: str) -> int:
     """--jobs: at least one worker, and no more workers than CPUs."""
-    n = _int_arg(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return min(n, os.cpu_count() or 1)
+    return min(_positive(text), os.cpu_count() or 1)
 
 
 def _require_odd_prime(p: int) -> None:
@@ -401,6 +406,8 @@ def _cmd_deligne_ribet(args):
             raise ValueError("--chi requires -f")
         rows = [deligne_ribet_check(DirichletChar(args.f, _parse_chi(args.chi)))]
     else:
+        if args.f is not None:
+            raise ValueError("-f requires --chi; --fmax scans every conductor up to it")
         rows = deligne_ribet_scan(args.fmax)
     return rows, [], {"checked": len(rows), "violations": 0}, "ok"
 
@@ -542,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("remark2", help="pole depths at conductor p^r")
     sp.add_argument("-p", type=_modulus, required=True,
                     help=f"odd prime (p^rmax at most {MAX_MODULUS})")
-    sp.add_argument("--rmax", type=int, default=2, help="largest exponent r (default 2)")
+    sp.add_argument("--rmax", type=_positive, default=2,
+                    help="largest exponent r, at least 1 (default 2)")
     common(sp)
 
     sp = sub.add_parser("star", help="unique pole and the class-number product mod p")

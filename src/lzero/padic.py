@@ -320,7 +320,8 @@ class TowerDescriptor(dict):
 
     Its contents are fixed by (p, k, precision), so the CLI writes the JSON
     text of one descriptor once and reuses it for every record that
-    carries an equal one.
+    carries an equal one.  A tower has one descriptor, shared by every
+    record judged in it: read-only, though a dict.
     """
 
 
@@ -338,8 +339,8 @@ class _PadicTowerFields(NamedTuple):
 class PadicTower(_PadicTowerFields):
     """The fixed local model for (p, k) at working precision p^N.
 
-    A named tuple of the fields above.  No __slots__: the tables below are
-    cached_propertys, kept in the instance __dict__.
+    A named tuple of the fields above.  No __slots__: the tables below and
+    the descriptor are cached_propertys, kept in the instance __dict__.
     """
 
     @property
@@ -347,7 +348,21 @@ class PadicTower(_PadicTowerFields):
         return self.p**self.precision
 
     def descriptor(self) -> TowerDescriptor:
-        """Everything needed to re-derive the embedding independently."""
+        """Everything needed to re-derive the embedding independently.
+
+        One dict per tower, built on first call: every record judged in
+        the tower holds this very object, so it is read-only.
+        """
+        return self._descriptor
+
+    def release_tables(self) -> None:
+        """Forget the cached tables; the next use rebuilds them.  The
+        descriptor is kept, since records hold it."""
+        for name in ("zeta_power_columns", "_grows", "_erows"):
+            self.__dict__.pop(name, None)
+
+    @functools.cached_property
+    def _descriptor(self) -> TowerDescriptor:
         return TowerDescriptor({
             "p": self.p,
             "k": self.k,

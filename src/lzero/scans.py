@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import NamedTuple
 
 from .bernoulli import (
@@ -111,6 +112,9 @@ class VerdictRecord(NamedTuple):
     ``question2_zero`` is a report-only probe: for omega-inverse-congruent
     characters whose conductor is *not* a p-power it records whether the
     (then integral) L-value vanishes mod the place; it is None otherwise.
+    ``tower`` is the descriptor of the tower the valuation was taken in,
+    the one PadicTower.descriptor() object that every record judged in that
+    tower shares: read-only.
     """
 
     modulus: int
@@ -192,10 +196,13 @@ def _decomposition_cosets(p: int, k: int, js: list[int]) -> list[int]:
 
 
 def _orbit_verdicts(
-    orbit: list[tuple[int, DirichletChar]], primes: list[int], n_start: int
+    orbit: list[tuple[int, DirichletChar]], primes: list[int], n_start: int,
+    towers: dict[tuple[int, int], PadicTower] | None = None,
 ) -> list[VerdictRecord]:
     """integrality_verdict for every member of one Galois orbit at every p,
-    with one valuation per coset of the decomposition group of p."""
+    with one valuation per coset of the decomposition group of p.  Each
+    tower a valuation stopped in is entered in `towers`, if given, under
+    (p, precision)."""
     lvs = [rec.l_at_zero for rec in orbit_l_values(orbit)]
     k = orbit[0][1].value_order
     js = [j for j, _ in orbit]
@@ -206,7 +213,25 @@ def _orbit_verdicts(
             if coset not in judged:
                 val, tower, _image = cyclo_valuation(lv, p, n_start)
                 judged[coset] = val, tower.descriptor()
+                if towers is not None:
+                    towers[p, tower.precision] = tower
             records.append(_verdict_record(chi, p, lv, *judged[coset], n_start))
+    return records
+
+
+def _value_order_verdicts(
+    group: list[list[tuple[int, DirichletChar]]], primes: list[int], n_start: int
+) -> list[VerdictRecord]:
+    """_orbit_verdicts for every orbit of one value order k.  L(0, chi) lies
+    in Q(zeta_k), so the towers (p, k, N) serve this group alone, and the
+    tables of those its valuations stopped in are released once it is
+    judged.  A rung that a ladder escalated past is not looked up again:
+    with n_start 1 or 2, up to f_max 200 and p_max 61, every such rung was
+    also the stop of another valuation of its group."""
+    towers: dict[tuple[int, int], PadicTower] = {}
+    records = [rec for orbit in group for rec in _orbit_verdicts(orbit, primes, n_start, towers)]
+    for tower in towers.values():
+        tower.release_tables()
     return records
 
 
@@ -215,14 +240,21 @@ def nonintegral_locus_scan(
 ) -> list[VerdictRecord]:
     """Judge every (chi, p) with conductor <= f_max and odd prime p <= p_max.
 
-    The unit of work is one Galois orbit of characters with every p (see
-    the module docstring): its B_{1,chi} is summed once and conjugated, and
-    at each p one member per coset of the decomposition group of p is
-    embedded and judged, its valuation and tower standing for the whole
-    coset.  The omega^(-1) residue test, and the classification and
-    Question 2 fields that follow from it, are computed per character.
-    With jobs > 1 each worker takes whole orbits, so no two workers sum the
-    same orbit's B_{1,chi}.
+    Each Galois orbit of characters is judged with every p (see the module
+    docstring): its B_{1,chi} is summed once and conjugated, and at each p
+    one member per coset of the decomposition group of p is embedded and
+    judged, its valuation and tower standing for the whole coset.  The
+    omega^(-1) residue test, and the classification and Question 2 fields
+    that follow from it, are computed per character.
+
+    The unit of work is the group of orbits of one value order k, whatever
+    jobs is: the towers (p, k, N) serve that group alone, so their tables are
+    released once it is judged (_value_order_verdicts), and memory holds
+    the tables of one group at a time.  Every record judged in a tower
+    holds that tower's one descriptor (PadicTower.descriptor), shared and
+    read-only.  With jobs > 1 a task is one group, the largest (by
+    characters) first, so no two workers sum the same orbit's B_{1,chi} or
+    build the same tower.
 
     Hard-checks on the way out: every record must satisfy the proved
     classification, every negative valuation must equal the proved pole
@@ -231,19 +263,24 @@ def nonintegral_locus_scan(
     in the canonical (p, conductor, exponents) order regardless of jobs.
     """
     primes = [p for p in primes_upto(p_max) if p > 2]
-    orbits = galois_orbits(f_max)
-    judge = functools.partial(_orbit_verdicts, primes=primes, n_start=n_start)
+    by_order: dict[int, list] = {}
+    for orbit in galois_orbits(f_max):
+        by_order.setdefault(orbit[0][1].value_order, []).append(orbit)
+    groups = sorted(by_order.values(), key=lambda g: sum(map(len, g)), reverse=True)
+    judge = functools.partial(_value_order_verdicts, primes=primes, n_start=n_start)
     if jobs > 1:
         import multiprocessing  # only here: it costs every start-up otherwise
 
         b1_cache()  # bound before the fork, so the workers share one attach
-        orbits.sort(key=len, reverse=True)  # the largest orbits first
         with multiprocessing.Pool(jobs) as pool:
-            parts = list(pool.imap_unordered(judge, orbits))
+            parts = list(pool.imap_unordered(judge, groups))
     else:
-        parts = map(judge, orbits)
+        parts = map(judge, groups)
     records = [rec for part in parts for rec in part]
-    records.sort(key=lambda r: (r.p, r.modulus, r.exponents))
+    # stable passes, least significant key first: the (p, modulus, exponents)
+    # order with no key tuple per record
+    for field in ("exponents", "modulus", "p"):
+        records.sort(key=attrgetter(field))
 
     for rec in records:
         if not rec.classification_consistent:

@@ -187,6 +187,24 @@ def test_imprimitive_lvalue_exit_2(capsys):
     assert code == 2
 
 
+def test_deligne_ribet_scan_with_f_exit_2(capsys):
+    # -f belongs to --chi; a scan would otherwise report it in params unused
+    code, out, err = run_cli(["deligne-ribet", "--fmax", "5", "-f", "7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "-f requires --chi" in err
+
+
+@pytest.mark.parametrize("rmax", ["0", "-3", "two"])
+def test_rmax_below_one_rejected(rmax, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["remark2", "-p", "3", "--rmax", rmax])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--rmax" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["lvalue", "-f", "5", "--chi", "1", "-p", "5", "--precision", "1024"],
     ["star", "-p", "7", "--precision", "600"],

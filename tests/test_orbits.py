@@ -6,18 +6,25 @@ classification scan conjugates it and at each p embeds one value per coset
 of the decomposition group, and the bound scan checks every member against
 the one value, whose denominator is a Galois invariant.  Each test here
 rebuilds the same answer one character at a time (integrality_verdict,
-deligne_ribet_check, l_value_at_zero) and compares.
+deligne_ribet_check, l_value_at_zero) and compares.  The classification
+scan judges the orbits of one value order k together, since the towers
+(p, k, N) serve them alone; the tests at the end check that grouping, the
+release of the towers' tables and the one descriptor per tower.
 """
 
+import multiprocessing
 from math import gcd
 
 import pytest
 
 from lzero import (
     N_START,
+    PadicTower,
+    build_tower,
     cyclo_valuation,
     deligne_ribet_check,
     deligne_ribet_scan,
+    embed_padic,
     enumerate_characters,
     galois_orbits,
     integrality_verdict,
@@ -232,3 +239,88 @@ def test_star_by_orbits_equals_per_character_reference(fresh_cache, monkeypatch,
     judged = [cyclo_valuation(l_value_at_zero(chi).l_at_zero, p) for chi in chars]
     assert rep.factors == tuple((chi.exponents, v) for chi, (v, _t, _i) in zip(chars, judged))
     assert towers == [t for _v, t, _i in judged]
+
+
+def _scan_towers(records, n_start):
+    """Every tower (p, k, N) the scan's ladders ran through: the rung each
+    record stopped at and the rungs below it."""
+    stops = {(r.p, r.tower["k"], r.tower["precision"]) for r in records}
+    rungs = set()
+    for p, k, precision in stops:
+        n = n_start
+        while n <= precision:
+            rungs.add((p, k, n))
+            n *= 2
+    return rungs
+
+
+def test_records_judged_in_one_tower_share_its_descriptor():
+    records = nonintegral_locus_scan(40, 13)
+    for rec in records:
+        tower = build_tower(rec.p, rec.tower["k"], rec.tower["precision"])
+        assert rec.tower is tower.descriptor()
+    assert build_tower(5, 4).descriptor() is build_tower(5, 4).descriptor()
+
+
+@pytest.mark.parametrize("n_start", [N_START, 1])  # 1: ladders escalate to 2
+def test_a_scan_releases_the_tables_of_its_towers(n_start):
+    records = nonintegral_locus_scan(36, 13, n_start)
+    keys = _scan_towers(records, n_start)
+    assert any(n > n_start for _p, _k, n in keys) == (n_start == 1)
+    for key in keys:
+        assert "zeta_power_columns" not in vars(build_tower(*key)), key
+    # a later use rebuilds the table, and it is the table a fresh copy builds
+    rep = next(orbit[0][1] for orbit in galois_orbits(36) if orbit[0][1].modulus == 36)
+    lv = l_value_at_zero(rep).l_at_zero
+    for p in (3, 5, 13):
+        _v, tower, image = cyclo_valuation(lv, p, n_start)
+        assert (p, rep.value_order, tower.precision) in keys
+        assert "zeta_power_columns" in vars(tower)
+        fresh = PadicTower(*tower)
+        assert image.mat == embed_padic(lv, fresh).mat
+        assert tower.zeta_power_columns == fresh.zeta_power_columns
+
+
+def test_release_tables_keeps_the_descriptor():
+    tower = PadicTower(*build_tower(7, 36, 16))
+    descriptor = tower.descriptor()
+    columns = tower.zeta_power_columns
+    tower.release_tables()
+    tower.release_tables()  # nothing left to forget
+    assert not {"zeta_power_columns", "_grows", "_erows"} & vars(tower).keys()
+    assert tower.descriptor() is descriptor
+    assert tower.zeta_power_columns == columns and tower.zeta_power_columns is not columns
+
+
+class _SerialPool:
+    """multiprocessing.Pool's context manager and imap_unordered, run in this
+    process, keeping the tasks it was handed."""
+
+    tasks: list = []
+
+    def __init__(self, jobs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, tasks):
+        _SerialPool.tasks = list(tasks)
+        return map(fn, _SerialPool.tasks)
+
+
+@pytest.mark.parametrize("f_max", [30, 60])
+def test_each_value_order_is_one_task(monkeypatch, f_max):
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    records = nonintegral_locus_scan(f_max, 7, jobs=2)
+    tasks = _SerialPool.tasks
+    orders = [{orbit[0][1].value_order for orbit in task} for task in tasks]
+    assert all(len(ks) == 1 for ks in orders)
+    assert len({k for ks in orders for k in ks}) == len(tasks)
+    assert sorted(orbit for task in tasks for orbit in task) == sorted(galois_orbits(f_max))
+    sizes = [sum(map(len, task)) for task in tasks]
+    assert sizes == sorted(sizes, reverse=True)  # the largest group first
+    assert records == nonintegral_locus_scan(f_max, 7, jobs=1)
