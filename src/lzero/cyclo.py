@@ -6,14 +6,16 @@ over one positive denominator in lowest terms.  The power basis generates
 the full ring of integers Z[zeta_k], so an element is an algebraic integer
 exactly when its denominator is 1.
 
-Any sum_m c_m zeta_k^m reaches that basis by the staged division of
-_reduce, so an order keeps only the stages' nonzero coefficients until its
-first product.  For the primes q_1 < ... < q_r of k and m = q_1, q_1 q_2,
-..., q_1 ... q_r = rad(k) in turn, it divides by Phi_m(x^(k/m)): monic, with
-only the nonzero terms of Phi_m, at stride k/m.  Each of these vanishes at
-every primitive k-th root of unity zeta (zeta^(k/m) is a primitive m-th
-root), so the irreducible Phi_k divides it, and each stage leaves the
-remainder mod Phi_k unchanged.  The last one is Phi_k itself, because
+Any sum_m c_m zeta_k^m, a product's convolution among them, reaches that
+basis by one staged division (_reduce, and poly_mul_reduce for a product,
+both through _kernels.reduce_by_stages), so an order keeps only phi(k) and
+the stages' nonzero coefficients, and a product keeps no table.  For the
+primes q_1 < ... < q_r of k and m = q_1, q_1 q_2, ..., q_1 ... q_r = rad(k)
+in turn, it divides by Phi_m(x^(k/m)): monic, with only the nonzero terms
+of Phi_m, at stride k/m.  Each of these vanishes at every primitive k-th
+root of unity zeta (zeta^(k/m) is a primitive m-th root), so the
+irreducible Phi_k divides it, and each stage leaves the remainder mod Phi_k
+unchanged.  The last one is Phi_k itself, because
 Phi_k(x) = Phi_rad(k)(x^(k/rad(k))).  For even k the first stage is the fold
 x^(k/2) = -1, one subtraction per coefficient.
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 
-from lzero._kernels import poly_mul_reduce
+from lzero._kernels import poly_mul_reduce, reduce_by_stages
 from lzero.errors import IncompatibleOrders
 from lzero.nt import euler_phi, factorize
 
@@ -80,32 +82,11 @@ def _ctx(k: int):
 
 
 def _reduce(k: int, coeffs) -> list[int]:
-    """sum_m coeffs[m] x^m mod Phi_k on the power basis: long division by
-    each stage of _ctx(k) in turn, from the top coefficient down.  Every
-    stage is a monic multiple of Phi_k and the last is Phi_k."""
+    """sum_m coeffs[m] x^m mod Phi_k on the power basis: reduce_by_stages by
+    the stages of _ctx(k), each a monic multiple of Phi_k, the last Phi_k."""
     d, stages = _ctx(k)
-    rem = list(coeffs)
-    for top, low in stages:
-        for s in range(len(rem) - 1 - top, -1, -1):  # x^(s+top) = x^s (x^top - stage)
-            c = rem[s + top]
-            if c:
-                for i, a in low:
-                    rem[s + i] -= c * a
-        del rem[top:]
+    rem = reduce_by_stages(list(coeffs), stages)
     return rem + [0] * (d - len(rem))
-
-
-@functools.lru_cache(maxsize=None)
-def _mulrows(k: int) -> tuple[tuple[int, ...], ...]:
-    """x^d, ..., x^(2d-2) mod Phi_k for d = phi(k), the rows poly_mul_reduce
-    reads; each is one division step from the one before."""
-    d = _ctx(k)[0]
-    row = [0] * (d - 1) + [1]
-    rows = []
-    for _ in range(d - 1):
-        row = _reduce(k, [0] + row)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 class CycloElt:
@@ -252,8 +233,8 @@ class CycloElt:
         if other is None:
             return NotImplemented
         a, b = CycloElt._merge(self, other)
-        rows = _mulrows(a.order)
-        return CycloElt(a.order, poly_mul_reduce(a.nums, b.nums, rows), a.den * b.den)
+        stages = _ctx(a.order)[1]
+        return CycloElt(a.order, poly_mul_reduce(a.nums, b.nums, stages), a.den * b.den)
 
     def __pow__(self, n: int) -> CycloElt:
         if n < 0:

@@ -39,9 +39,10 @@ of a row of U[n] = (1 + pi)^n mod E and a row of V[m] = x^m mod g.  Each
 tower keeps one table, the images of zeta_k^0, ..., zeta_k^(phi(k) - 1);
 an element of a subfield Q(zeta_m) is first rewritten in Q(zeta_k)
 (CycloElt.embed_into), so every embedding reads that table.  Every
-power table (U, V, the reduction rows of g and E, the residues x^e mod the
-chosen factor) is built by one step: multiply by x modulo a monic
-polynomial and a modulus.
+power table (U, V, the residues x^e mod the chosen factor) is built by one
+step: multiply by x modulo a monic polynomial and a modulus.  A product
+keeps no table: it is reduced in place by its monic moduli (_mulmod, and
+tower_mul by the lifted g and then E).
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from operator import mul
 from typing import NamedTuple
 
 from lzero._kernels import tower_mul
-from lzero.characters import DirichletChar, eval_exponent, unit_group_basis, _char_data
+from lzero.characters import DirichletChar, unit_group_basis, _char_data
 from lzero.cyclo import CycloElt, _reduce, cyclotomic_poly
 from lzero.errors import PrecisionExhausted, TheoremViolation
 from lzero.nt import euler_phi, factorize, is_prime, multiplicative_order, valuation
@@ -339,8 +340,9 @@ class _PadicTowerFields(NamedTuple):
 class PadicTower(_PadicTowerFields):
     """The fixed local model for (p, k) at working precision p^N.
 
-    A named tuple of the fields above.  No __slots__: the tables below and
-    the descriptor are cached_propertys, kept in the instance __dict__.
+    A named tuple of the fields above.  No __slots__: the one table,
+    zeta_power_columns, and the descriptor are cached_propertys, kept in
+    the instance __dict__.  A product (PadicElt.__mul__) reads no table.
     """
 
     @property
@@ -356,10 +358,9 @@ class PadicTower(_PadicTowerFields):
         return self._descriptor
 
     def release_tables(self) -> None:
-        """Forget the cached tables; the next use rebuilds them.  The
-        descriptor is kept, since records hold it."""
-        for name in ("zeta_power_columns", "_grows", "_erows"):
-            self.__dict__.pop(name, None)
+        """Forget the table zeta_power_columns; the next use rebuilds it.
+        The descriptor is kept, since records hold it."""
+        self.__dict__.pop("zeta_power_columns", None)
 
     @functools.cached_property
     def _descriptor(self) -> TowerDescriptor:
@@ -373,18 +374,6 @@ class PadicTower(_PadicTowerFields):
             "e_ram": self.e_ram,
             "factor": list(self.lifted_factor),
         })
-
-    @functools.cached_property
-    def _grows(self) -> tuple:
-        """x^f, ..., x^(2f - 2) mod the lifted factor, for tower_mul; built on
-        first use, like every table of the tower that only a product reads."""
-        return _x_powers(self.lifted_factor, 2 * self.f_res - 1, self.modulus)[self.f_res:]
-
-    @functools.cached_property
-    def _erows(self) -> tuple:
-        """pi^e, ..., pi^(2e - 2) mod E, for tower_mul."""
-        eis = _eisenstein_poly(self.p, self.wild_exp)
-        return _x_powers(eis, 2 * self.e_ram - 1, self.modulus)[self.e_ram:]
 
     @functools.cached_property
     def zeta_power_columns(self) -> tuple:
@@ -440,7 +429,8 @@ class PadicElt(NamedTuple):
     def __mul__(self, other: PadicElt):
         self._check(other)
         t = self.tower
-        mat = tower_mul(self.mat, other.mat, t._grows, t._erows, t.modulus)
+        eis = _eisenstein_poly(t.p, t.wild_exp)
+        mat = tower_mul(self.mat, other.mat, t.lifted_factor, eis, t.modulus)
         return PadicElt(t, self.shift + other.shift, tuple(tuple(r) for r in mat))
 
 
@@ -577,24 +567,34 @@ def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
     multiplicativity: the residue of chi(g) (p-power-order parts reduce
     to 1) must equal g^t mod p.
 
+    Each such g is CRT-lifted from its own component, so mod f it is the
+    generator g_i of (Z/f)^* of the same component, or 1 for p's own
+    generator when p does not divide f.  So chi(g) = zeta_k^(w_i), the
+    weights w_i of _char_data, or 1, with no discrete logarithm; any other
+    g raises TheoremViolation.
+
     If p does not divide f and p - 1 does not divide t, the answer is no
     without a table: (Z/fp)^* = (Z/f)^* x (Z/p)^*, so some g is 1 mod f
     and a primitive root mod p.  Then chi(g) = chi(1) = 1 has residue 1,
     while g^t != 1 mod p.
     """
-    k, _ = _char_data(chi.modulus, chi.exponents)
+    f = chi.modulus
+    k, weights = _char_data(f, chi.exponents)
     # residue of zeta_k^m: the p-power part drops to 1 and the tame part is
     # x^(beta m), as in the table PadicTower.zeta_power_columns.
     k1, beta = _tame_part(p, k)
-    if chi.modulus % p and t % (p - 1):
+    if f % p and t % (p - 1):
         return False
     residues = _power_residues(p, k1)
     zeros = (0,) * (len(residues[0]) - 1)
-    m_mod = lcm(chi.modulus, p)
+    weight_of = {g: w for (g, _o), w in zip(unit_group_basis(f).generators, weights)}
+    weight_of[1 % f] = 0
+    m_mod = lcm(f, p)
     for g, _o in unit_group_basis(m_mod).generators:
-        m = eval_exponent(chi, g)
+        m = weight_of.get(g % f)
         if m is None:
-            raise TheoremViolation(f"chi has no value at the unit {g} mod {m_mod}")
+            raise TheoremViolation(
+                f"the generator {g} mod {m_mod} is neither 1 nor a generator mod {f}")
         # g is a unit mod p, so g^t mod p is a nonzero constant
         if residues[m * beta % k1] != (pow(g, t, p), *zeros):
             return False

@@ -35,6 +35,7 @@ of chi), and with it the classification and Question 2 fields of a record.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -195,27 +196,37 @@ def _decomposition_cosets(p: int, k: int, js: list[int]) -> list[int]:
     return out
 
 
+def _coset_valuations(
+    orbit: list[tuple[int, DirichletChar]], lvs: Iterable[CycloElt], p: int, n_start: int
+) -> Iterator[tuple[DirichletChar, CycloElt, Fraction, PadicTower]]:
+    """(chi, L(0, chi), v, tower) for each member of one Galois orbit, given
+    its L-values lvs in the orbit's order, with one cyclo_valuation per
+    coset of the decomposition group of p: its valuation and tower stand
+    for the whole coset.  lvs is read one value at a time, so it may be a
+    lazy iterator (bernoulli.orbit_l_values)."""
+    k = orbit[0][1].value_order
+    judged: dict[int, tuple[Fraction, PadicTower]] = {}
+    for (_j, chi), lv, coset in zip(orbit, lvs, _decomposition_cosets(p, k, [j for j, _ in orbit])):
+        if coset not in judged:
+            judged[coset] = cyclo_valuation(lv, p, n_start)[:2]
+        yield chi, lv, *judged[coset]
+
+
 def _orbit_verdicts(
     orbit: list[tuple[int, DirichletChar]], primes: list[int], n_start: int,
     towers: dict[tuple[int, int], PadicTower] | None = None,
 ) -> list[VerdictRecord]:
     """integrality_verdict for every member of one Galois orbit at every p,
-    with one valuation per coset of the decomposition group of p.  Each
-    tower a valuation stopped in is entered in `towers`, if given, under
-    (p, precision)."""
+    with one valuation per coset of the decomposition group of p
+    (_coset_valuations).  Each tower a valuation stopped in is entered in
+    `towers`, if given, under (p, precision)."""
     lvs = [rec.l_at_zero for rec in orbit_l_values(orbit)]
-    k = orbit[0][1].value_order
-    js = [j for j, _ in orbit]
     records = []
     for p in primes:
-        judged: dict[int, tuple[Fraction, TowerDescriptor]] = {}
-        for (_j, chi), lv, coset in zip(orbit, lvs, _decomposition_cosets(p, k, js)):
-            if coset not in judged:
-                val, tower, _image = cyclo_valuation(lv, p, n_start)
-                judged[coset] = val, tower.descriptor()
-                if towers is not None:
-                    towers[p, tower.precision] = tower
-            records.append(_verdict_record(chi, p, lv, *judged[coset], n_start))
+        for chi, lv, val, tower in _coset_valuations(orbit, lvs, p, n_start):
+            if towers is not None:
+                towers[p, tower.precision] = tower
+            records.append(_verdict_record(chi, p, lv, val, tower.descriptor(), n_start))
     return records
 
 
@@ -537,7 +548,8 @@ def _odd_product_identity(p: int, n_start: int) -> tuple[ProductIdentityReport, 
     The odd characters mod p are taken one Galois orbit at a time, as in
     _orbit_verdicts: chi^m's orbit is {chi^(mj) : gcd(j, k) = 1}, k the value
     order of chi^m, its L-values come from one bucket sum (orbit_l_values),
-    and the valuation is taken once per coset of the decomposition group.
+    read one at a time, and the valuation is taken once per coset of the
+    decomposition group (_coset_valuations).
     An orbit is judged when its first member comes up in the order of
     enumerate_characters, so the factors and the checks keep that order.
     """
@@ -553,13 +565,9 @@ def _odd_product_identity(p: int, n_start: int) -> tuple[ProductIdentityReport, 
         if m not in judged:
             k = chi.value_order
             orbit = [(j, by_exponent[m * j % (p - 1)]) for j in range(1, k) if gcd(j, k) == 1]
-            cosets: dict[int, tuple[Fraction, PadicTower]] = {}
-            for (_j, member), rec, coset in zip(
-                orbit, orbit_l_values(orbit), _decomposition_cosets(p, k, [j for j, _ in orbit])
-            ):
-                if coset not in cosets:
-                    cosets[coset] = cyclo_valuation(rec.l_at_zero, p, n_start)[:2]
-                judged[member.exponents[0]] = cosets[coset]
+            lvs = (rec.l_at_zero for rec in orbit_l_values(orbit))
+            for member, _lv, v, tower in _coset_valuations(orbit, lvs, p, n_start):
+                judged[member.exponents[0]] = v, tower
         v, tower = judged[m]
         factors.append((chi.exponents, v))
         towers.append(tower)

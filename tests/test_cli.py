@@ -678,3 +678,20 @@ def test_cache_env_variable_attaches_once(tmp_path):
     for _ in range(2):
         argv = ["prop1", "--fmax", "12", "--pmax", "5", "--jobs", "2"]
         assert _attaches(argv, env) == [str(env_dir)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop1", "--fmax", "30", "--pmax", "13"],
+    ["lvalue", "-f", "9", "--chi", "1", "-p", "3"],
+    ["remark2", "-p", "3", "--rmax", "3"],
+    ["star", "-p", "37"],
+], ids=lambda argv: argv[0])
+def test_judging_builds_no_dlog_table(capsys, argv):
+    """The omega^(-1) test reads chi on the generators from its weights, so
+    these commands take no discrete logarithm."""
+    from lzero.characters import _dlog_table
+
+    _dlog_table.cache_clear()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _dlog_table.cache_info().currsize == 0

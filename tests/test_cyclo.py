@@ -164,16 +164,17 @@ def test_from_exponent_sums_matches_sympy_rem(k):
 
 @pytest.mark.parametrize("k", _REDUCTION_ORDERS)
 def test_zeta_and_mulrows_match_sympy_powers(k):
-    """zeta_k^m for every m < 2k, and the d - 1 product rows x^d, ..., x^(2d-2)."""
+    """zeta_k^m for every m < 2k, and for m = d, ..., 2d - 2 the product of
+    two basis powers zeta_k^(d-1) zeta_k^(m-d+1), whose convolution is x^m:
+    the top terms a product reduces."""
     d = phi_degree(k)
-    rows = cyclo._mulrows(k)
-    assert len(rows) == d - 1
+    top = CycloElt.zeta(k, d - 1)
     power = [ZZ(1)]  # x^m mod Phi_k, dense
     for m in range(2 * k):
         want = _sympy_rem(power, k)
         assert list(CycloElt.zeta(k, m).nums) == want
         if d <= m <= 2 * d - 2:
-            assert list(rows[m - d]) == want
+            assert list((top * CycloElt.zeta(k, m - d + 1)).nums) == want
         power = dup_rem(power + [ZZ(0)], _sympy_phi(k), ZZ)
 
 

@@ -28,6 +28,9 @@ CASES = {
     "lvalue_f9_p3": (["lvalue", "-f", "9", "--chi", "1", "-p", "3"], 0),
     "hminus": (["hminus", "-p", "23"], 0),
     "hminus_not_prime": (["hminus", "-p", "9"], 2),
+    # a safe prime: k = 106 and (Z/106)^* is cyclic, so every product of the
+    # orbit norm is dense (phi = 52)
+    "hminus_safe_prime": (["hminus", "-p", "107"], 0),
     "irregular": (["irregular", "--pmax", "150"], 0),
     "kummer": (["kummer", "--pmax", "40"], 0),
     "deligne_ribet": (["deligne-ribet", "--fmax", "40"], 0),

@@ -32,14 +32,10 @@ def _naive_mul(a, b, monic):
     return _poly_rem(prod, monic)
 
 
-def _rows_for(monic):
-    """red_rows built the slow way: expansions of x^(d+m) for m < d-1."""
-    d = len(monic) - 1
-    rows = []
-    for m in range(d - 1):
-        power = [0] * (d + m) + [1]
-        rows.append(_poly_rem(power, monic))
-    return rows
+def _stages_for(monic):
+    """monic as the one stage poly_mul_reduce divides by: its degree and its
+    nonzero lower terms (i, c)."""
+    return ((len(monic) - 1, tuple((i, c) for i, c in enumerate(monic[:-1]) if c)),)
 
 
 def _random_monic(rng, degree, bound):
@@ -55,20 +51,33 @@ def test_poly_mul_reduce_matches_schoolbook(impl):
     for _ in range(40):
         d = rng.randrange(1, 12)
         monic = _random_monic(rng, d, 9)
-        rows = _rows_for(monic)
+        stages = _stages_for(monic)
         a = [rng.randrange(-10**6, 10**6) for _ in range(d)]
         b = [rng.randrange(-10**6, 10**6) for _ in range(d)]
-        assert impl.poly_mul_reduce(a, b, rows) == _naive_mul(a, b, monic)
+        assert impl.poly_mul_reduce(a, b, stages) == _naive_mul(a, b, monic)
 
 
 def test_poly_mul_reduce_big_coefficients():
     """Coefficients far beyond 64 bits must survive."""
     rng = random.Random(88)
     monic = [3, -2, 1, 1]  # x^3 + x^2 - 2x + 3
-    rows = _rows_for(monic)
+    stages = _stages_for(monic)
     a = [rng.randrange(-(10**40), 10**40) for _ in range(3)]
     b = [rng.randrange(-(10**40), 10**40) for _ in range(3)]
-    assert _kernels.poly_mul_reduce(a, b, rows) == _naive_mul(a, b, monic)
+    assert _kernels.poly_mul_reduce(a, b, stages) == _naive_mul(a, b, monic)
+
+
+def test_dense_product_at_a_safe_prime_order():
+    """k = 166 = 2 * 83, p = 167 a safe prime: every coordinate of both
+    factors is nonzero, with 40 digits, and CycloElt.__mul__ (convolution,
+    then the fold x^83 = -1 and Phi_166) agrees with division by Phi_166."""
+    rng = random.Random(166)
+    d = cyclo.phi_degree(166)
+    a = [rng.choice([-1, 1]) * rng.randrange(10**39, 10**40) for _ in range(d)]
+    b = [rng.choice([-1, 1]) * rng.randrange(10**39, 10**40) for _ in range(d)]
+    got = cyclo.CycloElt(166, a) * cyclo.CycloElt(166, b)
+    assert list(got.nums) == _naive_mul(a, b, cyclo.cyclotomic_poly(166))
+    assert got.den == 1
 
 
 def _naive_tower_mul(amat, bmat, gmonic, emonic, modulus):
@@ -112,11 +121,9 @@ def test_tower_mul_matches_schoolbook(impl):
         modulus = rng.choice([3**10, 5**8, 7**6])
         gmonic = _random_monic(rng, f, modulus)
         emonic = _random_monic(rng, e, modulus)
-        grows = _rows_for(gmonic)
-        erows = _rows_for(emonic)
         amat = [[rng.randrange(modulus) for _ in range(f)] for _ in range(e)]
         bmat = [[rng.randrange(modulus) for _ in range(f)] for _ in range(e)]
-        got = impl.tower_mul(amat, bmat, grows, erows, modulus)
+        got = impl.tower_mul(amat, bmat, gmonic, emonic, modulus)
         want = _naive_tower_mul(amat, bmat, gmonic, emonic, modulus)
         assert got == want
 

@@ -592,6 +592,39 @@ def test_omega_power_tables_match_reference():
     assert hits  # both answers occur
 
 
+def test_omega_power_by_weights_matches_eval_exponent():
+    """chi(g) read off the weights agrees with the reference, which takes a
+    discrete logarithm of g mod f (eval_exponent)."""
+    from lzero.characters import primitive_odd_characters
+    from lzero.nt import primes_upto
+
+    chars = primitive_odd_characters(120)
+    hits = 0
+    for p in primes_upto(31)[1:]:
+        for chi in chars:
+            for t in (-1, 0, 1, 2):
+                got = char_is_omega_power_mod_p(chi, p, t)
+                assert got == _omega_power_reference(chi, p, t), (p, chi, t)
+                hits += got
+    assert hits  # both answers occur
+
+
+def test_omega_power_rejects_a_generator_off_the_basis(monkeypatch):
+    """A generator of (Z/lcm(f, p))^* that is neither 1 nor a generator mod f
+    raises TheoremViolation (a raise, not an assert, so -O keeps it)."""
+    real = padic.unit_group_basis
+
+    def squared(modulus):
+        basis = real(modulus)
+        if modulus != 35:
+            return basis
+        return basis._replace(generators=tuple((g * g % modulus, o) for g, o in basis.generators))
+
+    monkeypatch.setattr(padic, "unit_group_basis", squared)
+    with pytest.raises(TheoremViolation, match="neither 1 nor a generator mod 5"):
+        char_is_omega_power_mod_p(DirichletChar(5, (1,)), 7, 0)
+
+
 def test_omega_power_rejects_even_or_composite_p():
     chi = DirichletChar(5, (1,))
     for p in (2, 9, 1):
