@@ -24,6 +24,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "prop1": (["prop1", "--fmax", "20", "--pmax", "11"], 0),
     "prop1_csv": (["prop1", "--fmax", "20", "--pmax", "7", "--format", "csv"], 0),
+    # starts the ladder at N = 1, so seven records carry a "precision
+    # escalated" note, and two carry a question-2 probe
+    "prop1_escalated": (["prop1", "--fmax", "21", "--pmax", "7", "--precision", "1"], 0),
     "lvalue_f5_p5": (["lvalue", "-f", "5", "--chi", "1", "-p", "5"], 0),
     "lvalue_f9_p3": (["lvalue", "-f", "9", "--chi", "1", "-p", "3"], 0),
     "hminus": (["hminus", "-p", "23"], 0),
