@@ -9,10 +9,11 @@ and nothing timestamped enters the body.
 
 The envelope is written while it is walked (``_JsonWriter``).  Its bytes are
 those of ``json.dumps(envelope, sort_keys=True, indent=2)``, but records,
-immutable named tuples, are read field by field in place and go to standard
-output one at a time, so the document is never held whole, and each tower
-descriptor is rendered once and its text reused for every record that
-carries it.
+immutable named tuples, are read in place and go to standard output one at
+a time, so the document is never held whole.  A ``VerdictRecord``, prop1's
+record, has one dedicated renderer, a fixed template of its sorted keys;
+every other type goes through the generic walk.  Each tower descriptor is
+rendered once and its text reused for every record that carries it.
 
 Exit codes: 0 all checks passed; 1 a proved statement failed to verify
 (which would mean a bug) or, under ``--strict``, a conjecture-level anomaly
@@ -45,6 +46,7 @@ from .errors import (
 from .nt import is_prime
 from .padic import N_CAP, N_START, TowerDescriptor
 from .scans import (
+    VerdictRecord,
     _odd_product_identity,
     _pole_depths,
     deligne_ribet_check,
@@ -94,14 +96,19 @@ EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer kille
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps's escaping under ensure_ascii
+_LITERAL = {True: "true", False: "false", None: "null"}
 # JSON text of a scalar, by type; a subclass takes its first base listed here
 _SCALAR_TEXT = {
-    bool: lambda b: "true" if b else "false",
+    bool: _LITERAL.__getitem__,
     int: int.__repr__,
     str: _ESCAPE,
-    type(None): lambda _: "null",
+    type(None): _LITERAL.__getitem__,
     Fraction: lambda q: f'"{q}"',
 }
+
+# the keys of a VerdictRecord in the order its text lists them
+_VERDICT_KEYS = ("classification_consistent", "exponents", "global_integral", "modulus",
+                 "notes", "omega_inverse", "p", "question2_zero", "tower", "valuation")
 
 
 def _scalar_text(obj) -> str | None:
@@ -115,40 +122,43 @@ class _JsonWriter:
     """JSON text of records, as ``json.dumps(value, sort_keys=True, indent=2)``
     writes it, or with ``compact`` as ``separators=(",", ":")`` writes it.
 
-    Records are read where they stand: a named tuple as an object of its
-    ``_fields``, dict keys as ``str(key)``, other tuples as lists and a
-    Fraction as its "a/b" string; any other type raises TypeError.  A tower
-    descriptor is rendered once per (p, k, precision) and indentation, and
-    its text reused.  Not
-    ``json.JSONEncoder(sort_keys=True, indent=2).iterencode``: an indent runs
-    the pure-Python encoder, 0.5 s of CPU against 0.1 s on the scan envelope.
+    A ``scans.VerdictRecord``, of which prop1 writes thousands, has one
+    dedicated renderer (``_verdict_text``): a fixed template of its sorted
+    keys, joined with the record's values, and the text of each distinct
+    exponent tuple kept and reused.  Every other value goes through the
+    generic walk, which reads it where it stands: a named tuple as an object
+    of its ``_fields``, dict keys as ``str(key)``, other tuples as lists and
+    a Fraction as its "a/b" string; any other type raises TypeError.  A
+    tower descriptor is walked once per (p, k, precision), its text
+    re-indented once for each other depth, and both paths reuse it.  Not
+    ``json.JSONEncoder(sort_keys=True, indent=2).iterencode``: an indent
+    runs the pure-Python encoder, and it would need a copy of each record
+    as a dict.
     """
 
     def __init__(self, compact: bool = False):
         self._step = "" if compact else "  "
         self._colon = ":" if compact else ": "
+        self._root = "" if compact else "\n"  # line break of the root
         self._fields = {}  # named tuple type -> (field indices, their rendered keys), by name
-        self._towers = {}  # (p, k, precision, line break + indentation) -> text
+        self._towers = {}  # (p, k, precision) -> {line break + indentation: text}
+        self._verdicts = {}  # line break + indentation -> _verdict_layout(...)
 
     def dumps(self, obj) -> str:
-        out = []
-        self._walk(obj, "\n" if self._step else "", out)
-        return "".join(out)
+        return self._text(obj, self._root)
 
     def dump(self, obj, write) -> None:
         """write(...) the text of obj and a newline.  Each item of a container
         directly under the root, one record of an envelope's "records" say,
         goes out in one write with the separator before it, so at most one
         such item is held as text."""
-        self._stream(obj, "\n", "", write, 2)
+        self._stream(obj, self._root, "", write, 2)
         write("\n")
 
     def _stream(self, obj, nl, prefix, write, levels):
         container = self._container(obj) if levels and _scalar_text(obj) is None else None
         if container is None or not container[3]:
-            out = [prefix]
-            self._walk(obj, nl, out)
-            write("".join(out))
+            write(prefix + self._text(obj, nl))
             return
         opening, closing, keys, values = container
         inner = nl + self._step
@@ -158,24 +168,89 @@ class _JsonWriter:
             sep = "," + inner
         write(nl + closing)
 
+    def _text(self, obj, nl) -> str:
+        if type(obj) is VerdictRecord:  # prop1 writes thousands: skip the walk's list
+            return self._verdict_text(obj, nl)
+        out = []
+        self._walk(obj, nl, out)
+        return "".join(out)
+
     def _walk(self, obj, nl, out):
         render = _SCALAR_TEXT.get(type(obj))
         if render is not None:
             out.append(render(obj))
+        elif type(obj) is VerdictRecord:
+            out.append(self._verdict_text(obj, nl))
         elif type(obj) is TowerDescriptor:
-            key = (obj["p"], obj["k"], obj["precision"], nl)
-            text = self._towers.get(key)
-            if text is None:
-                part = []
-                self._walk_container(self._container(obj), nl, part)
-                text = self._towers[key] = "".join(part)
-            out.append(text)
+            out.append(self._tower_text(obj, nl))
         else:
             text = _scalar_text(obj)
             if text is None:
                 self._walk_container(self._container(obj), nl, out)
             else:
                 out.append(text)
+
+    def _tower_text(self, tower, nl) -> str:
+        key = (tower["p"], tower["k"], tower["precision"])
+        texts = self._towers.get(key)
+        if texts is None:
+            texts = self._towers[key] = {}
+        text = texts.get(nl)
+        if text is None:
+            if texts:
+                # JSON text breaks a line only to indent the next one, so the
+                # text at nl is the text at another depth with each break
+                # re-indented
+                other, other_text = next(iter(texts.items()))
+                text = other_text.replace(other, nl)
+            else:
+                part = []
+                self._walk_container(self._container(tower), nl, part)
+                text = "".join(part)
+            texts[nl] = text
+        return text
+
+    def _verdict_text(self, record, nl) -> str:
+        """The text of a VerdictRecord whose fields have the types that
+        scans.integrality_verdict gives them.  A tower that is not a
+        TowerDescriptor, a valuation that is not a Fraction or a flag that
+        is not True, False or None raises TypeError."""
+        (modulus, exponents, p, tower, valuation, global_integral, omega_inverse,
+         consistent, question2_zero, notes) = record
+        layout = self._verdicts.get(nl)
+        if layout is None:
+            layout = self._verdicts[nl] = self._verdict_layout(nl)
+        heads, inner, lists = layout
+        if type(tower) is not TowerDescriptor or type(valuation) is not Fraction:
+            raise TypeError(f"cannot serialize a VerdictRecord with a {type(tower).__name__} "
+                            f"tower and a {type(valuation).__name__} valuation")
+        exponents_text = lists.get(exponents)
+        if exponents_text is None:
+            exponents_text = lists[exponents] = self._text(exponents, inner)
+        try:
+            return "".join((
+                heads[0], _LITERAL[consistent],
+                heads[1], exponents_text,
+                heads[2], _LITERAL[global_integral],
+                heads[3], int.__repr__(modulus),
+                heads[4], _ESCAPE(notes),
+                heads[5], _LITERAL[omega_inverse],
+                heads[6], int.__repr__(p),
+                heads[7], _LITERAL[question2_zero],
+                heads[8], self._tower_text(tower, inner),
+                heads[9], '"', str(valuation), '"', nl, "}",
+            ))
+        except KeyError as exc:
+            raise TypeError(f"cannot serialize {exc.args[0]!r} as a flag") from None
+
+    def _verdict_layout(self, nl):
+        """(the text before each value, the indentation of the fields, and
+        exponents -> text) of a VerdictRecord at line break and indentation
+        nl."""
+        inner = nl + self._step
+        heads = tuple(("," if i else "{") + inner + _ESCAPE(key) + self._colon
+                      for i, key in enumerate(_VERDICT_KEYS))
+        return heads, inner, {}
 
     def _walk_container(self, container, nl, out):
         opening, closing, keys, values = container

@@ -19,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 from lzero import (
     ClassificationViolation,
     DirichletChar,
+    VerdictRecord,
     __version__,
     build_tower,
     cyclo_valuation,
+    integrality_verdict,
     l_value_at_zero,
 )
 from lzero import cli, set_cache_dir
@@ -433,6 +435,69 @@ def test_named_tuple_renders_as_an_object_and_a_tuple_as_a_list():
     assert _JsonWriter().dumps(obj) == json.dumps(
         [{"valuation": "-1/2", "exponents": [3, 1], "notes": None}, [3, 1]],
         sort_keys=True, indent=2)
+
+
+# notes that json.dumps must escape: quotes, backslashes, control and
+# non-ASCII characters, astral ones included
+_NOTES = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11ea ')
+                 | st.characters(), max_size=8)
+_VERDICTS = st.builds(
+    VerdictRecord,
+    modulus=st.integers(1, 10**6),
+    exponents=st.lists(st.integers(0, 10**4), max_size=3).map(tuple),
+    p=st.integers(2, 10**6),
+    tower=st.sampled_from(_DESCRIPTORS),
+    valuation=st.fractions(max_denominator=50) | st.just(Fraction(0)),
+    global_integral=st.booleans(),
+    omega_inverse=st.booleans(),
+    classification_consistent=st.booleans(),
+    question2_zero=st.none() | st.booleans(),
+    notes=_NOTES,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VERDICTS, st.lists(_VERDICTS, max_size=3))
+def test_verdict_renderer_matches_json_dumps(record, records):
+    # the record at the root, then one and two levels down in one document,
+    # so one writer writes each tower at several depths of indentation
+    for obj in (record, {"records": records, "first": record, "towers": [record.tower]}):
+        ref = _ref(obj)
+        writer = _JsonWriter()
+        parts = []
+        writer.dump(obj, parts.append)
+        assert "".join(parts) == json.dumps(ref, sort_keys=True, indent=2) + "\n"
+        assert writer.dumps(obj) == json.dumps(ref, sort_keys=True, indent=2)
+        compact = _JsonWriter(compact=True)
+        parts = []
+        compact.dump(obj, parts.append)
+        assert "".join(parts) == json.dumps(ref, sort_keys=True, separators=(",", ":")) + "\n"
+        assert compact.dumps(obj) == json.dumps(ref, sort_keys=True, separators=(",", ":"))
+
+
+def test_verdict_renderer_writes_every_field_in_sorted_order():
+    record = integrality_verdict(DirichletChar(9, (1,)), 3)
+    for writer in (_JsonWriter(), _JsonWriter(compact=True)):
+        keys = list(json.loads(writer.dumps(record)))
+        assert keys == sorted(VerdictRecord._fields)
+    assert cli._VERDICT_KEYS == tuple(sorted(VerdictRecord._fields))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tower", {"p": 3, "k": 2, "precision": 16}),
+    ("valuation", -1),
+    ("omega_inverse", "yes"),
+    ("question2_zero", 2),
+    ("notes", None),
+    ("exponents", (1.5,)),
+])
+def test_verdict_renderer_rejects_other_field_types(field, value):
+    record = integrality_verdict(DirichletChar(9, (1,)), 3)._replace(**{field: value})
+    for writer in (_JsonWriter(), _JsonWriter(compact=True)):
+        with pytest.raises(TypeError):
+            writer.dumps(record)
+        with pytest.raises(TypeError):
+            writer.dump({"records": [record]}, lambda text: None)
 
 
 def _csv_reference(records) -> str:

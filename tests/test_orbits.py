@@ -262,8 +262,16 @@ def test_records_judged_in_one_tower_share_its_descriptor():
     assert build_tower(5, 4).descriptor() is build_tower(5, 4).descriptor()
 
 
+@pytest.fixture
+def empty_tower_cache():
+    # build_tower's lru_cache is process-wide: a tower another test embedded
+    # in keeps its table, and a scan that only passes its rung does not
+    # release it
+    build_tower.cache_clear()
+
+
 @pytest.mark.parametrize("n_start", [N_START, 1])  # 1: ladders escalate to 2
-def test_a_scan_releases_the_tables_of_its_towers(n_start):
+def test_a_scan_releases_the_tables_of_its_towers(n_start, empty_tower_cache):
     records = nonintegral_locus_scan(36, 13, n_start)
     keys = _scan_towers(records, n_start)
     assert any(n > n_start for _p, _k, n in keys) == (n_start == 1)
