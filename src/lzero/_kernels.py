@@ -1,7 +1,25 @@
-"""The hot loops behind every cyclotomic product (poly_mul_reduce) and every
-local-ring product in a p-adic tower (tower_mul).  Each is a convolution
-reduced from its top coefficient down, in place, by a monic modulus; no
-product keeps a table."""
+"""The one polynomial layer: every product and every remainder by a monic
+polynomial of coefficient lists (ascending, Python ints).
+
+It holds one convolution (convolve) and one reduction per ring: over Z by
+staged monic moduli (reduce_by_stages) and over Z/m by one monic modulus
+(reduce_mod), both from the top coefficient down, in place.  The products
+compose them: poly_mul_reduce for a cyclotomic number, mulmod for the
+Hensel lift and the factor split, tower_mul for a local ring of a p-adic
+tower.  No product keeps a table.  (Von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 2.)
+"""
+
+
+def convolve(a, b):
+    """The product of two coefficient lists, skipping their zero terms."""
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero:
+                c[i + j] += x * y
+    return c
 
 
 def reduce_by_stages(rem, stages):
@@ -19,16 +37,28 @@ def reduce_by_stages(rem, stages):
     return rem
 
 
+def reduce_mod(rem, monic, m):
+    """rem mod (monic, m): its coefficients from the top down reduced by the
+    monic polynomial, in place, then the lowest deg(monic) of them (fewer, if
+    rem is shorter) taken mod m, untrimmed.  rem is overwritten."""
+    n = len(monic) - 1
+    low = monic[:-1]
+    for top in range(len(rem) - 1, n - 1, -1):
+        if c := rem[top] % m:
+            for i, g in enumerate(low, top - n):
+                rem[i] -= c * g
+    return [c % m for c in rem[:n]]
+
+
+def mulmod(a, b, monic, m):
+    """a b mod (monic, m), as reduce_mod returns it."""
+    return reduce_mod(convolve(a, b), monic, m)
+
+
 def poly_mul_reduce(a, b, stages):
     """Product of two length-d coefficient lists, reduced back to length d by
     the monic stages (reduce_by_stages), the last of which has degree d."""
-    nonzero = [(j, y) for j, y in enumerate(b) if y]
-    c = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in nonzero:
-                c[i + j] += x * y
-    return reduce_by_stages(c, stages)
+    return reduce_by_stages(convolve(a, b), stages)
 
 
 def tower_mul(amat, bmat, G, E, modulus):
@@ -36,27 +66,17 @@ def tower_mul(amat, bmat, G, E, modulus):
 
     amat and bmat are e x f matrices (lists of lists of ints): row j holds
     the x-coefficients of pi^j.  G (degree f) and E (degree e, with constant,
-    x-free coefficients) are monic, ascending.  The product's pi-rows are
-    reduced by G, each from its top x-coefficient down, and then the rows
-    themselves by E from the top row down, in place.
+    x-free coefficients) are monic, ascending.  Each operand is laid out as
+    one list, row j at offset j (2f - 1), so a single convolution leaves
+    each pi-row of the product in its own slot of 2f - 1.  The rows are
+    reduced by E from the top row down, in place, and then each by G
+    (reduce_mod).
     """
     e = len(amat)
-    f = len(amat[0])
-    rows = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
-    for j1, arow in enumerate(amat):
-        for j2, brow in enumerate(bmat):
-            row = rows[j1 + j2]
-            for i1, ai in enumerate(arow):
-                if ai:
-                    for i2, bi in enumerate(brow, i1):
-                        row[i2] += ai * bi
-    g_low, e_low = G[:-1], E[:-1]
-    for row in rows:
-        for top in range(2 * f - 2, f - 1, -1):
-            if c := row[top] % modulus:
-                for i, g in enumerate(g_low, top - f):
-                    row[i] -= c * g
-        del row[f:]
+    width = 2 * len(amat[0]) - 1
+    prod = convolve(_spread(amat, width), _spread(bmat, width))
+    rows = [prod[s : s + width] for s in range(0, (2 * e - 1) * width, width)]
+    e_low = E[:-1]
     for top in range(2 * e - 2, e - 1, -1):
         src = rows.pop()  # pi^top = pi^(top - e) (pi^e - E)
         for j, c in enumerate(e_low, top - e):
@@ -64,4 +84,13 @@ def tower_mul(amat, bmat, G, E, modulus):
                 tgt = rows[j]
                 for i, x in enumerate(src):
                     tgt[i] -= c * x
-    return [[x % modulus for x in row] for row in rows]
+    return [reduce_mod(row, G, modulus) for row in rows]
+
+
+def _spread(mat, width):
+    """The rows of mat laid end to end, each padded with zeros to width."""
+    out = []
+    for row in mat:
+        out += row
+        out += [0] * (width - len(row))
+    return out

@@ -24,10 +24,10 @@ do, but verdicts for individual characters depend on this one.  The factors
 come from a deterministic Berlekamp split by Gauss periods
 T_j = sum_{i<d} x^(j p^i mod k'), d = ord_{k'}(p): each T_j takes one value
 in F_p on every irreducible factor, and the roots of its minimal polynomial
-mod a piece split that piece by gcds.  Its powers are taken with the one
-product of the Hensel lift, a product reduced mod a monic polynomial; the
-factor chosen does not depend on the method.  The lift is Newton's method
-for the monic divisor of x^(k') - 1 that reduces to the chosen factor.
+mod a piece split that piece by gcds.  Its powers are taken with
+_kernels.mulmod, as are those of the Hensel lift; the factor chosen does
+not depend on the method.  The lift is Newton's method for the monic
+divisor of x^(k') - 1 that reduces to the chosen factor.
 
 The image of zeta_k is normalised by CRT: zeta_k^(k') = 1 + pi and
 zeta_k^(p^a) = x.  This makes the place restrict to the place of the tame
@@ -39,9 +39,10 @@ of a row of U[n] = (1 + pi)^n mod E and a row of V[m] = x^m mod g.  Each
 tower keeps one table, the images of zeta_k^0, ..., zeta_k^(phi(k) - 1);
 an element of a subfield Q(zeta_m) is first rewritten in Q(zeta_k)
 (CycloElt.embed_into), so every embedding reads that table.  Every
-power table (U, V, the residues x^e mod the chosen factor) is built by one
-step: multiply by x modulo a monic polynomial and a modulus.  A product
-keeps no table: it is reduced in place by its monic moduli (_mulmod, and
+power table (U, V, the residues x^e mod the chosen factor) is built one
+row at a time, a product or a shift reduced mod a monic polynomial and a
+modulus.  Every product and remainder here is one of _kernels: a product
+keeps no table, it is reduced in place by its monic moduli (mulmod, and
 tower_mul by the lifted g and then E).
 """
 from __future__ import annotations
@@ -52,7 +53,7 @@ from math import comb, lcm
 from operator import mul
 from typing import NamedTuple
 
-from lzero._kernels import tower_mul
+from lzero._kernels import mulmod, reduce_mod, tower_mul
 from lzero.characters import DirichletChar, unit_group_basis, _char_data
 from lzero.cyclo import CycloElt, _reduce, cyclotomic_poly
 from lzero.errors import PrecisionExhausted, TheoremViolation
@@ -81,8 +82,9 @@ ABOVE_PRECISION = _AbovePrecision()
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Z/m, m = p or a power of p for Hensel lifting
-# (lists, ascending degree, no trailing zeros except in what _mulmod returns)
+# dense polynomials over Z/m, m = p or a power of p for Hensel lifting:
+# lists, ascending degree, multiplied and reduced by a monic polynomial only
+# in _kernels (mulmod, reduce_mod), whose results are not trimmed
 
 
 def _pm_trim(a: list[int]) -> list[int]:
@@ -91,48 +93,14 @@ def _pm_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _mulmod(a, b, G, m):
-    """a b mod (G, m) for a monic G: the product, then its coefficients from
-    the top down reduced by G in place; at most deg(G) coefficients, not
-    trimmed."""
-    n = len(G) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    low = G[:-1]
-    for top in range(len(out) - 1, n - 1, -1):
-        if c := out[top] % m:
-            for i, g in enumerate(low, top - n):
-                out[i] -= c * g
-    return [c % m for c in out[:n]]
-
-
-def _pm_divmod(a, b, p):
-    """Quotient and remainder mod p; b's leading coefficient must be a unit."""
-    rem = [x % p for x in a]
-    _pm_trim(rem)
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
-    quo = [0] * max(len(rem) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        q = rem[-1] * inv % p
-        shift = len(rem) - len(b)
-        quo[shift] = q
-        for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - q * c) % p
-        _pm_trim(rem)
-    return quo, rem
-
-
 def _pm_gcd(a, b, p):
-    a, b = [x % p for x in a], [x % p for x in b]
-    _pm_trim(a)
-    _pm_trim(b)
+    """The monic gcd of a and b mod p ([] if both vanish): each divisor is
+    made monic, so reduce_mod divides by it."""
+    a, b = _pm_trim([x % p for x in a]), _pm_trim([x % p for x in b])
     while b:
-        a, b = b, _pm_divmod(a, b, p)[1]
+        inv = pow(b[-1], -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _pm_trim(reduce_mod(a, b, p))
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
@@ -168,13 +136,13 @@ def _min_poly(t: list[int], h: list[int], p: int) -> list[int]:
             return _pm_trim(vec[n:])
         inv = pow(vec[pivot], -1, p)
         rows[pivot] = [c * inv % p for c in vec]
-        power = _mulmod(power, t, h, p)
+        power = mulmod(power, t, h, p)
 
 
 def _split_by_period(h: list[int], period: list[int], p: int) -> list[list[int]]:
     """h | Phi_{k1} mod p as the gcd(h, t - c), t = period mod h, over the
     roots c in F_p of t's minimal polynomial, found by Horner's rule."""
-    t = _pm_divmod(period, h, p)[1]
+    t = reduce_mod(list(period), h, p)
     mu = _min_poly(t, h, p)
     if len(mu) == 2:  # t is constant mod h
         return [h]
@@ -265,17 +233,17 @@ def _hensel_lift(k1: int, g_bar: tuple[int, ...], p: int, N: int) -> list[int]:
         theta = [0, 1] if len(G) > 2 else [-G[0] % m]
         power = theta
         for bit in bin(k1)[3:]:
-            power = _mulmod(power, power, G, m)
+            power = mulmod(power, power, G, m)
             if bit == "1":
-                power = _mulmod(power, theta, G, m)
+                power = mulmod(power, theta, G, m)
         r = [power[0] - 1, *power[1:]]
         if any(c % prev for c in r):
             raise TheoremViolation("Newton step: x^k' - 1 must vanish mod (G, p^n)")
         dG = [i * c * inv_k1 % m for i, c in enumerate(G) if i]
-        delta = _mulmod(r, _mulmod(dG, theta, G, m), G, m)
+        delta = mulmod(r, mulmod(dG, theta, G, m), G, m)
         for i, c in enumerate(delta):
             G[i] = (G[i] + c) % m
-    if _pm_divmod(F, G, pN)[1]:
+    if any(reduce_mod(list(F), G, pN)):
         raise TheoremViolation("Hensel lift: the lift must divide Phi_k' mod p^N")
     return G
 
@@ -295,21 +263,11 @@ def _eisenstein_poly(p: int, a: int) -> tuple[int, ...]:
     return tuple(sum(comb(i * q, m) for i in range(p)) for m in range((p - 1) * q + 1))
 
 
-def _times_x(u, monic, m: int) -> tuple[int, ...]:
-    """x u mod (monic, m), for u given by its deg(monic) coefficients mod m."""
-    carry = u[-1]
-    out = [0, *u[:-1]]
-    if carry:
-        for i, c in enumerate(monic[:-1]):
-            out[i] = (out[i] - carry * c) % m
-    return tuple(out)
-
-
 def _x_powers(monic, count: int, m: int) -> tuple[tuple[int, ...], ...]:
     """x^0, ..., x^(count - 1) mod (monic, m), as deg(monic) coefficients."""
     rows = [(1,) + (0,) * (len(monic) - 2)]
     for _ in range(count - 1):
-        rows.append(_times_x(rows[-1], monic, m))
+        rows.append(tuple(reduce_mod([0, *rows[-1]], monic, m)))
     return tuple(rows)
 
 
@@ -393,7 +351,7 @@ class PadicTower(_PadicTowerFields):
         eis = _eisenstein_poly(p, self.wild_exp)
         u = [(1,) + (0,) * (self.e_ram - 1)]
         for _ in range(pa - 1):
-            u.append(tuple((c + d) % pN for c, d in zip(u[-1], _times_x(u[-1], eis, pN))))
+            u.append(tuple(mulmod(u[-1], (1, 1), eis, pN)))
         ms = range(euler_phi(self.k))
         us = [u[alpha * m % pa] for m in ms]
         vs = [v[beta * m % k1] for m in ms]

@@ -67,6 +67,45 @@ def test_poly_mul_reduce_big_coefficients():
     assert _kernels.poly_mul_reduce(a, b, stages) == _naive_mul(a, b, monic)
 
 
+def _operand_pairs(rng, d, bound):
+    """Signed operands of length d, shorter than d, and longer, and zero
+    vectors, for a modulus of degree d."""
+    def vec(n):
+        return [rng.randrange(-bound, bound) for _ in range(n)]
+
+    lengths = [(d, d), (1, d), (max(d - 1, 1), 1), (2 * d, d + 1), (1, 1)]
+    pairs = [(vec(i), vec(j)) for i, j in lengths for _ in range(4)]
+    return pairs + [([0] * d, vec(d)), (vec(d), [0] * d), ([0], [0])]
+
+
+# (monic, m): a random dense monic, linear ones, E = x (the Eisenstein
+# polynomial of an unramified tower), an Eisenstein polynomial, a cyclotomic
+# polynomial mod a prime, and a modulus at the precision cap p^512
+_ZMOD_CASES = {
+    "dense": ([4, -7, 0, 11, -2, 1], 3**10),
+    "linear": ([-5, 1], 7**6),
+    "linear-unit": ([1, 1], 13),
+    "E=x": ([0, 1], 5**8),
+    "eisenstein": ([3, 3, 1], 3**16),
+    "cyclotomic": (list(cyclo.cyclotomic_poly(12)), 13),
+    "p^512": (_random_monic(random.Random(512), 6, 3**512), 3**512),
+    "linear-p^512": ([-(2**700), 1], 5**512),
+}
+
+
+@pytest.mark.parametrize("monic,m", _ZMOD_CASES.values(), ids=_ZMOD_CASES.keys())
+def test_convolve_reduce_mod_and_mulmod_match_schoolbook(monic, m):
+    rng = random.Random(m % 9973)
+    d = len(monic) - 1
+    for a, b in _operand_pairs(rng, d, 2 * m):
+        prod = _naive_mul(a, b, [0] * (len(a) + len(b) - 1) + [1])  # unreduced
+        assert _kernels.convolve(a, b) == prod
+        want = [c % m for c in _poly_rem(prod, monic)]
+        for got in (_kernels.reduce_mod(list(prod), monic, m), _kernels.mulmod(a, b, monic, m)):
+            assert len(got) == min(len(prod), d)
+            assert got + [0] * (d - len(got)) == want
+
+
 def test_dense_product_at_a_safe_prime_order():
     """k = 166 = 2 * 83, p = 167 a safe prime: every coordinate of both
     factors is nonzero, with 40 digits, and CycloElt.__mul__ (convolution,
@@ -126,4 +165,18 @@ def test_tower_mul_matches_schoolbook(impl):
         got = impl.tower_mul(amat, bmat, gmonic, emonic, modulus)
         want = _naive_tower_mul(amat, bmat, gmonic, emonic, modulus)
         assert got == want
+    # an unramified tower (E = x), a linear G, zero rows, and the cap p^512
+    for gmonic, emonic, modulus in [
+        ([3, 0, 1], [0, 1], 5**8),
+        ([-(7**9), 1], [7, 7, 1], 7**12),
+        (_random_monic(rng, 3, 3**512), [3, 3, 1], 3**512),
+        (_random_monic(rng, 2, 5**512), [0, 1], 5**512),
+    ]:
+        e, f = len(emonic) - 1, len(gmonic) - 1
+        amat = [[rng.randrange(-modulus, modulus) for _ in range(f)] for _ in range(e)]
+        bmat = [[rng.randrange(modulus) for _ in range(f)] for _ in range(e)]
+        if e > 1:
+            amat[0] = [0] * f
+        got = impl.tower_mul(amat, bmat, gmonic, emonic, modulus)
+        assert got == _naive_tower_mul(amat, bmat, gmonic, emonic, modulus)
 

@@ -26,16 +26,55 @@ from lzero import (
 )
 from lzero import padic
 from lzero.cyclo import cyclotomic_poly
+from lzero._kernels import mulmod
 from lzero.padic import (
     PadicElt,
     _eisenstein_poly,
     _gauss_period,
     _hensel_lift,
-    _mulmod,
-    _pm_divmod,
-    _pm_trim,
+    _pm_gcd,
 )
 from lzero.nt import euler_phi, multiplicative_order, valuation
+
+
+# ---------------------------------------------------------------------------
+# schoolbook polynomials mod p for the oracles below, written independently
+# of the kernels they check (lists, ascending degree, trimmed)
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pm_mul(a, b, p):
+    """a b mod p, trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _trim([c % p for c in out])
+
+
+def _schoolbook_divmod(a, b, p):
+    """Quotient and remainder of a by b mod p, both trimmed, by long
+    division; b's leading coefficient must be a unit mod p."""
+    rem = _trim([x % p for x in a])
+    b = _trim([x % p for x in b])
+    inv = pow(b[-1], -1, p)
+    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        q = rem[-1] * inv % p
+        shift = len(rem) - len(b)
+        quo[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - q * c) % p
+        _trim(rem)
+    return quo, rem
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +151,9 @@ def test_gauss_periods_are_fixed_by_frobenius(p, k1):
         t = _gauss_period(j, p, k1, d)
         power = [1]
         for bit in bin(p)[2:]:
-            power = _pm_divmod(_pm_mul(power, power, p), cyclic, p)[1]
+            power = _schoolbook_divmod(_pm_mul(power, power, p), cyclic, p)[1]
             if bit == "1":
-                power = _pm_divmod(_pm_mul(power, t, p), cyclic, p)[1]
+                power = _schoolbook_divmod(_pm_mul(power, t, p), cyclic, p)[1]
         assert power == t, j
 
 
@@ -124,6 +163,48 @@ def test_split_with_a_wrong_degree_raises(monkeypatch):
     monkeypatch.setattr(padic, "multiplicative_order", lambda a, n: 1)
     with pytest.raises(TheoremViolation):
         residue_factor.__wrapped__(5, 3)
+
+
+def _gcd_by_sympy(a, b, p):
+    x = sympy.Symbol("x")
+    a, b = (sympy.Poly(list(reversed(c)) or [0], x, modulus=p) for c in (a, b))
+    return _trim([int(c) % p for c in reversed(a.gcd(b).all_coeffs())])
+
+
+def _gcd_cases():
+    rng = random.Random(2203)
+    cases = []
+    for p in (3, 5, 7, 31, 149):
+
+        def poly(degree):  # signed, above p, leading coefficient a unit != 1
+            return [rng.randrange(-3 * p, 3 * p) for _ in range(degree)] + [rng.randrange(2, p) - p]
+
+        for _ in range(6):
+            common = poly(rng.randrange(0, 3))
+            cases.append((_pm_mul(poly(rng.randrange(0, 5)), common, p),
+                          _pm_mul(poly(rng.randrange(0, 5)), common, p), p))
+        a = poly(3)
+        cases += [
+            (a, [], p),                              # zero second argument
+            (a, [p, 0, -2 * p], p),                  # one that vanishes mod p
+            (a, _pm_mul(a, poly(2), p), p),          # a | b
+            (_pm_mul(a, poly(2), p), a, p),          # b | a
+            (poly(4), poly(4), p),                   # random pair
+            ([], [], p),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("a,b,p", _gcd_cases())
+def test_pm_gcd_matches_sympy(a, b, p):
+    before = (list(a), list(b))
+    g = _pm_gcd(a, b, p)
+    assert g == _gcd_by_sympy(a, b, p)
+    assert (a, b) == before  # the inputs are not reduced in place
+    if any(c % p for c in a + b):
+        assert g[-1] == 1  # monic
+    else:
+        assert g == []
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +326,18 @@ def test_hensel_factor_congruent_mod_p():
     assert all(c == 0 for c in rem)
 
 
-def _pm_mul(a, b, p):
-    """a b mod p, trimmed."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return _pm_trim([c % p for c in out])
-
-
 def _pm_xgcd(a, b, p):
     """(g, s, t) with s a + t b = g mod p, g monic."""
 
     def sub(u, v):
         n = max(len(u), len(v))
         u, v = u + [0] * (n - len(u)), v + [0] * (n - len(v))
-        return _pm_trim([(x - y) % p for x, y in zip(u, v)])
+        return _trim([(x - y) % p for x, y in zip(u, v)])
 
-    r0, s0, t0 = _pm_trim(list(a)), [1], []
-    r1, s1, t1 = _pm_trim(list(b)), [], [1]
+    r0, s0, t0 = _trim(list(a)), [1], []
+    r1, s1, t1 = _trim(list(b)), [], [1]
     while r1:
-        q, r = _pm_divmod(r0, r1, p)
+        q, r = _schoolbook_divmod(r0, r1, p)
         s2 = sub(s0, _pm_mul(q, s1, p))
         t2 = sub(t0, _pm_mul(q, t1, p))
         r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s2, t2
@@ -286,7 +355,7 @@ def _linear_hensel_reference(F, g_bar, p, N):
     g = [c % p for c in g_bar]
     if len(g) == len(F):
         return [c % p**N for c in F]
-    h = _pm_divmod([c % p for c in F], g, p)[0]
+    h = _schoolbook_divmod([c % p for c in F], g, p)[0]
     s = _pm_xgcd(g, h, p)[1]  # s g = 1 mod (h, p)
     G, H = list(g), list(h)
     for n in range(1, N):
@@ -298,9 +367,9 @@ def _linear_hensel_reference(F, g_bar, p, N):
         diff = [(f - gh) % nxt for f, gh in zip(F, GH)]
         assert all(c % mod == 0 for c in diff)
         E = [c // mod for c in diff]
-        dh = _pm_divmod(_pm_mul(s, E, p), h, p)[1]
+        dh = _schoolbook_divmod(_pm_mul(s, E, p), h, p)[1]
         gdh = _pm_mul(g, dh, p) + [0] * len(E)
-        dg, rem = _pm_divmod([(x - y) % p for x, y in zip(E, gdh)], h, p)
+        dg, rem = _schoolbook_divmod([(x - y) % p for x, y in zip(E, gdh)], h, p)
         assert not rem
         H = [(c + mod * d) % nxt for c, d in zip(H, dh + [0] * len(H))]
         G = [(c + mod * d) % nxt for c, d in zip(G, dg + [0] * len(G))]
@@ -336,9 +405,9 @@ def test_newton_lift_doubles_precision_per_step(N, monkeypatch):
 
     def recording_mulmod(a, b, G, m):
         moduli.add(m)
-        return _mulmod(a, b, G, m)
+        return mulmod(a, b, G, m)
 
-    monkeypatch.setattr(padic, "_mulmod", recording_mulmod)
+    monkeypatch.setattr(padic, "mulmod", recording_mulmod)
     p, k1 = 7, 43  # a degree-6 factor of Phi_43 mod 7
     _hensel_lift(k1, residue_factor(p, k1), p, N)
     lifted = sorted(valuation(m, p) for m in moduli if m > p)
@@ -570,8 +639,8 @@ def _omega_power_reference(chi, p, t):
         m = eval_exponent(chi, g)
         if m is None:
             raise TheoremViolation(f"chi has no value at the unit {g} mod {m_mod}")
-        lhs = _pm_divmod([0] * (m * beta % k1) + [1], fct, p)[1]
-        rhs = _pm_trim([pow(g, t, p)])
+        lhs = _schoolbook_divmod([0] * (m * beta % k1) + [1], fct, p)[1]
+        rhs = _trim([pow(g, t, p)])
         if lhs != rhs:
             return False
     return True
