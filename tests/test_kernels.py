@@ -78,7 +78,7 @@ def _operand_pairs(rng, d, bound):
     return pairs + [([0] * d, vec(d)), (vec(d), [0] * d), ([0], [0])]
 
 
-# (monic, m): a random dense monic, linear ones, E = x (the Eisenstein
+# (monic, m): a dense monic, linear ones, E = x (the Eisenstein
 # polynomial of an unramified tower), an Eisenstein polynomial, a cyclotomic
 # polynomial mod a prime, and a modulus at the precision cap p^512
 _ZMOD_CASES = {
