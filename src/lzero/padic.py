@@ -44,6 +44,15 @@ row at a time, a product or a shift reduced mod a monic polynomial and a
 modulus.  Every product and remainder here is one of _kernels: a product
 keeps no table, it is reduced in place by its monic moduli (mulmod, and
 tower_mul by the lifted g and then E).
+
+Valuations are judged in the residue field first.  zeta_k^m reduces to
+x^(beta m mod k') in O/P = F_p[x]/(g mod p) at every precision, so a value
+whose denominator is prime to p is p-integral, and its residue
+(residue_image) is read off its numerators with no table.  A nonzero
+residue means valuation 0, in the tower at the starting precision;
+cyclo_valuation embeds only a value with p | den or a zero residue, and
+runs the precision ladder on it (_ladder).  So a tower's table is built
+only if some value falls through to the ladder.
 """
 from __future__ import annotations
 
@@ -475,15 +484,52 @@ def teichmuller(a: int, p: int, precision: int) -> int:
         x = y
 
 
+def residue_image(z: CycloElt, p: int) -> tuple[int, ...]:
+    """The image of z in the residue field O/P = F_p[x]/(g), g the chosen
+    factor of Phi_{k'} mod p, as coefficients on 1..x^(f-1).  z must be
+    p-integral with p prime to its denominator.
+
+    zeta_k^m reduces to x^(beta m mod k') (_tame_part: the p-power part goes
+    to 1), so with z = (sum_m n_m zeta_k^m) / den, k = z.order, each n_m is
+    added into bucket beta m mod k', the buckets are reduced once mod (g, p)
+    and the result is scaled by den^(-1) mod p.  No table is built: this is
+    the row 0 of embed_padic's image, mod p (padic_residue).
+
+    >>> residue_image(CycloElt.rational(10), 7)
+    (3,)
+    """
+    if z.den % p == 0:
+        raise ValueError(f"the denominator {z.den} is divisible by p={p}")
+    k1, beta = _tame_part(p, z.order)
+    buckets = [0] * k1
+    for m, n in enumerate(z.nums):
+        buckets[beta * m % k1] += n
+    inv_den = pow(z.den, -1, p)
+    return tuple(c * inv_den % p for c in reduce_mod(buckets, residue_factor(p, k1), p))
+
+
 def cyclo_valuation(z: CycloElt, p: int, n_start: int = N_START):
     """Valuation of a nonzero cyclotomic number at the chosen place.
 
-    Runs the precision ladder N = n_start, 2 n_start, ... up to N_CAP and
-    raises PrecisionExhausted if the ladder ends without a decision.
-    Returns (valuation, tower used, image of z in that tower).
+    Returns (valuation, tower): the tower is build_tower(p, z.order, N) at
+    the precision N the valuation was decided at.  A value whose denominator
+    is prime to p is p-integral, and it is a unit exactly when its residue
+    (residue_image) is nonzero: then the valuation is 0 and the tower is the
+    one at n_start, whose table is not built.  Any other value runs the
+    precision ladder (_ladder): N = n_start, 2 n_start, ... up to N_CAP,
+    raising PrecisionExhausted if it ends without a decision.
     """
     if z.is_zero():
         raise ZeroDivisionError("the valuation of 0 is +infinity")
+    if z.den % p and any(residue_image(z, p)):
+        return Fraction(0), build_tower(p, z.order, n_start)
+    return _ladder(z, p, n_start)[:2]
+
+
+def _ladder(z: CycloElt, p: int, n_start: int):
+    """(valuation, tower, image of z in that tower) for a nonzero z, from
+    the precision ladder of cyclo_valuation: z is embedded at each rung
+    N = n_start, 2 n_start, ... <= N_CAP until its valuation is decided."""
     n = n_start
     while n <= N_CAP:
         tower = build_tower(p, z.order, n)
@@ -539,7 +585,7 @@ def char_is_omega_power_mod_p(chi: DirichletChar, p: int, t: int) -> bool:
     f = chi.modulus
     k, weights = _char_data(f, chi.exponents)
     # residue of zeta_k^m: the p-power part drops to 1 and the tame part is
-    # x^(beta m), as in the table PadicTower.zeta_power_columns.
+    # x^(beta m), as in residue_image.
     k1, beta = _tame_part(p, k)
     if f % p and t % (p - 1):
         return False

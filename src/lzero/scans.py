@@ -24,8 +24,9 @@ Galois already determines most of what a conjugate needs:
   place, so v(L(0, chi^j)) is constant on each coset of D.  So are the
   denominator of L(0, chi^j) and whether its image vanishes mod p^N, hence
   the precision the ladder stops at and the tower it stops in.  One value
-  per coset is embedded: phi(k') / ord_{k'}(p) embeddings per (p, orbit),
-  one per prime above p in Q(zeta_k'), instead of phi(k).
+  per coset is judged: phi(k') / ord_{k'}(p) valuations per (p, orbit),
+  one per prime above p in Q(zeta_k'), instead of phi(k).  A judged value
+  is embedded only if its residue cannot decide it (padic.cyclo_valuation).
 
 What stays per character: the omega^(-1) residue test (sigma_j acts on the
 residue field as a power of Frobenius, so the residue of chi^j is not that
@@ -74,11 +75,13 @@ from .padic import (
     N_START,
     PadicTower,
     TowerDescriptor,
+    _ladder,
     _tame_part,
-    build_tower,
     char_is_omega_power_mod_p,
     cyclo_valuation,
     padic_residue,
+    residue_factor,
+    residue_image,
     teichmuller,
 )
 
@@ -143,7 +146,7 @@ def integrality_verdict(chi: DirichletChar, p: int, n_start: int = N_START) -> V
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     lv = l_value_at_zero(chi).l_at_zero
-    val, tower, _image = cyclo_valuation(lv, p, n_start)
+    val, tower = cyclo_valuation(lv, p, n_start)
     return _verdict_record(chi, p, lv, val, tower.descriptor(), n_start)
 
 
@@ -208,7 +211,7 @@ def _coset_valuations(
     judged: dict[int, tuple[Fraction, PadicTower]] = {}
     for (_j, chi), lv, coset in zip(orbit, lvs, _decomposition_cosets(p, k, [j for j, _ in orbit])):
         if coset not in judged:
-            judged[coset] = cyclo_valuation(lv, p, n_start)[:2]
+            judged[coset] = cyclo_valuation(lv, p, n_start)
         yield chi, lv, *judged[coset]
 
 
@@ -253,10 +256,10 @@ def nonintegral_locus_scan(
 
     Each Galois orbit of characters is judged with every p (see the module
     docstring): its B_{1,chi} is summed once and conjugated, and at each p
-    one member per coset of the decomposition group of p is embedded and
-    judged, its valuation and tower standing for the whole coset.  The
-    omega^(-1) residue test, and the classification and Question 2 fields
-    that follow from it, are computed per character.
+    one member per coset of the decomposition group of p is judged
+    (cyclo_valuation), its valuation and tower standing for the whole
+    coset.  The omega^(-1) residue test, and the classification and
+    Question 2 fields that follow from it, are computed per character.
 
     The unit of work is the group of orbits of one value order k, whatever
     jobs is: the towers (p, k, N) serve that group alone, so their tables are
@@ -510,7 +513,7 @@ def _pole_depths(p: int, r_max: int, n_start: int) -> tuple[list[PoleDepthRow], 
             )
         want_v = expected_pole_depth(p, r)
         for chi in members:
-            got, tower, _image = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)
+            got, tower = cyclo_valuation(l_value_at_zero(chi).l_at_zero, p, n_start)
             equal = got == want_v
             rows.append(PoleDepthRow(chi.modulus, chi.exponents, p, want_v, got, equal))
             towers.append(tower)
@@ -604,16 +607,20 @@ def _truncated_residue(
 
     Multiplying L(0, chi) by (1 - chi(l)) for the primes l of the modulus
     away from the conductor is exactly inducing the character: the result
-    is -1/N * sum a chi(a) over a coprime to N.
+    is -1/N * sum a chi(a) over a coprime to N.  A value prime to p in its
+    denominator is reduced in the residue field (residue_image); any other
+    is embedded once, by the precision ladder, and reduced from that image.
+    A zero value has the zero residue, of degree deg g = ord_{k'}(p).
     """
     lv = l_value_at_zero(chi).l_at_zero
     for ell in sorted(factorize(common_modulus)):
         if chi.modulus % ell != 0:
             lv = lv * (CycloElt.one() - char_eval(chi, ell))
     if lv.is_zero():
-        return (0,) * build_tower(p, chi.value_order, n_start).f_res
-    image = cyclo_valuation(lv, p, n_start)[2]
-    return padic_residue(image)
+        return (0,) * (len(residue_factor(p, _tame_part(p, chi.value_order)[0])) - 1)
+    if lv.den % p:
+        return residue_image(lv, p)
+    return padic_residue(_ladder(lv, p, n_start)[2])
 
 
 def straightened_character(chi: DirichletChar, p: int) -> DirichletChar:

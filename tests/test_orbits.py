@@ -12,7 +12,9 @@ scan judges the orbits of one value order k together, since the towers
 release of the towers' tables and the one descriptor per tower.
 """
 
+import functools
 import multiprocessing
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -37,7 +39,7 @@ from lzero import (
     primitive_odd_characters,
     set_cache_dir,
 )
-from lzero import bernoulli, scans
+from lzero import bernoulli, padic, scans
 from lzero.bernoulli import b1_cache
 from lzero.cli import main
 from lzero.cyclo import CycloElt
@@ -97,20 +99,30 @@ def _primes_above_p(p, k):
 
 @pytest.mark.parametrize("f_max,ps", [(40, [3, 5, 7, 11, 13]), (100, [3, 5, 7])])
 def test_one_valuation_per_prime_above_p(monkeypatch, f_max, ps):
-    calls = []
-    ladder = scans.cyclo_valuation
+    # one valuation per coset; of those, the ladder runs for exactly the
+    # values the residue field cannot judge: p | den, or a zero residue
+    calls, ladders = [], []
+    valuation_of, ladder = scans.cyclo_valuation, padic._ladder
 
-    def counting_ladder(z, p, n_start=N_START):
-        calls.append(p)
-        return ladder(z, p, n_start)
+    def counting_valuation(z, p, n_start=N_START):
+        v, tower = valuation_of(z, p, n_start)
+        calls.append((z, p, v))
+        return v, tower
 
-    monkeypatch.setattr(scans, "cyclo_valuation", counting_ladder)
+    monkeypatch.setattr(scans, "cyclo_valuation", counting_valuation)
+    monkeypatch.setattr(padic, "_ladder", lambda *args: ladders.append(args) or ladder(*args))
+    undecided = 0
     for orbit in galois_orbits(f_max):
         k = orbit[0][1].value_order
         for p in ps:
             calls.clear()
+            ladders.clear()
             scans._orbit_verdicts(orbit, [p], N_START)
             assert len(calls) == _primes_above_p(p, k), (orbit[0][1], p)
+            want = [(z, p, N_START) for z, _p, v in calls if z.den % p == 0 or v != 0]
+            assert ladders == want, (orbit[0][1], p)
+            undecided += len(want)
+    assert undecided
 
 
 def test_decomposition_cosets_are_the_cosets_of_p():
@@ -237,8 +249,8 @@ def test_star_by_orbits_equals_per_character_reference(fresh_cache, monkeypatch,
     # member, and the star check conjugates it for the rest
     assert len(sums) == len({gcd(chi.exponents[0], p - 1) for chi in chars})
     judged = [cyclo_valuation(l_value_at_zero(chi).l_at_zero, p) for chi in chars]
-    assert rep.factors == tuple((chi.exponents, v) for chi, (v, _t, _i) in zip(chars, judged))
-    assert towers == [t for _v, t, _i in judged]
+    assert rep.factors == tuple((chi.exponents, v) for chi, (v, _t) in zip(chars, judged))
+    assert towers == [t for _v, t in judged]
 
 
 def _scan_towers(records, n_start):
@@ -281,12 +293,57 @@ def test_a_scan_releases_the_tables_of_its_towers(n_start, empty_tower_cache):
     rep = next(orbit[0][1] for orbit in galois_orbits(36) if orbit[0][1].modulus == 36)
     lv = l_value_at_zero(rep).l_at_zero
     for p in (3, 5, 13):
-        _v, tower, image = cyclo_valuation(lv, p, n_start)
+        _v, tower, image = padic._ladder(lv, p, n_start)
         assert (p, rep.value_order, tower.precision) in keys
         assert "zeta_power_columns" in vars(tower)
         fresh = PadicTower(*tower)
         assert image.mat == embed_padic(lv, fresh).mat
         assert tower.zeta_power_columns == fresh.zeta_power_columns
+
+
+def test_a_scan_builds_tables_only_where_the_ladder_ran(monkeypatch, empty_tower_cache):
+    # a value the residue field judges needs no table; a tower's table is
+    # built once, and only if some value of its group fell through to the
+    # ladder and stopped there
+    built, stops = [], set()
+    columns, ladder = PadicTower.zeta_power_columns.func, padic._ladder
+
+    def recording_columns(tower):
+        built.append(tower[:3])
+        return columns(tower)
+
+    def recording_ladder(z, p, n_start):
+        judged = ladder(z, p, n_start)
+        stops.add(judged[1][:3])
+        return judged
+
+    prop = functools.cached_property(recording_columns)
+    prop.__set_name__(PadicTower, "zeta_power_columns")
+    monkeypatch.setattr(PadicTower, "zeta_power_columns", prop)
+    monkeypatch.setattr(padic, "_ladder", recording_ladder)
+    records = nonintegral_locus_scan(40, 13)
+    used = {(r.p, r.tower["k"], r.tower["precision"]) for r in records}
+    assert len(built) == len(set(built))
+    assert set(built) == stops
+    assert stops < used
+
+
+@pytest.mark.parametrize("n_start", [N_START, 1])
+def test_valuation_equals_the_plain_ladder(n_start):
+    # the residue-field rung gives what the ladder alone gives: the same
+    # valuation and the same tower, for every primitive odd chi, f <= 60
+    primes = [p for p in primes_upto(31) if p > 2]
+    seen = set()
+    for orbit in galois_orbits(60):
+        for rec in orbit_l_values(orbit):
+            lv = rec.l_at_zero
+            for p in primes:
+                v, tower = cyclo_valuation(lv, p, n_start)
+                want_v, want_tower, _image = padic._ladder(lv, p, n_start)
+                assert (v, tower) == (want_v, want_tower), (rec.chi, p)
+                assert tower is want_tower and type(v) is Fraction
+                seen.add("p | den" if lv.den % p == 0 else "v > 0" if v else "unit")
+    assert seen == {"p | den", "v > 0", "unit"}
 
 
 def test_release_tables_keeps_the_descriptor():

@@ -22,6 +22,7 @@ from lzero import (
     padic_residue,
     padic_valuation,
     residue_factor,
+    residue_image,
     teichmuller,
 )
 from lzero import padic
@@ -529,9 +530,12 @@ def test_zero_element_valuation_is_above_precision():
 
 def test_ladder_escalates_for_deep_values():
     z = CycloElt.rational(5**20)
-    val, tower, image = cyclo_valuation(z, 5, n_start=16)
+    val, tower = cyclo_valuation(z, 5, n_start=16)
     assert val == 20
     assert tower.precision == 32
+    # the ladder's own image is the one a plain embedding gives
+    *judged, image = padic._ladder(z, 5, 16)
+    assert judged == [val, tower]
     again = embed_padic(z, tower)
     assert (image.shift, image.mat) == (again.shift, again.mat)
 
@@ -581,6 +585,40 @@ def test_residue_rejects_nonintegral():
     bad = embed_padic(CycloElt.rational(Fraction(1, 5)), t)
     with pytest.raises(ValueError):
         padic_residue(bad)
+
+
+@pytest.mark.parametrize("p,k", [
+    (5, 4), (7, 9), (11, 30), (13, 21), (31, 44),   # tame
+    (3, 12), (5, 30), (7, 28), (3, 63), (13, 52),   # wild: beta = 3, 5, 3, 4, 1
+    (7, 14), (3, 1), (3, 27), (5, 25),              # k' = 2, then k' = 1
+])
+def test_residue_image_matches_the_embedding(p, k):
+    """residue_image reads the residue of a p-integral value off its
+    numerators, with no table: it must be the residue of the embedding."""
+    rng = random.Random(p * 1000 + k)
+    orders = [m for m in range(1, k + 1) if k % m == 0]
+    dens = [d for d in (1, 2, 3, 7, 11, 221, 10**30 + 1) if d % p]
+    zeros = 0
+    for trial in range(60):
+        order = k if trial % 2 else rng.choice(orders)
+        z = CycloElt(order, [rng.randrange(-10**40, 10**40) for _ in range(euler_phi(order))],
+                     rng.choice(dens))
+        if trial % 5 == 0:  # positive valuation, by p or by 1 - zeta_p: residue 0
+            small = CycloElt.rational(p, order)
+            if order % p == 0 and trial % 10:
+                small = CycloElt.one(order) - CycloElt.zeta(order, order // p)
+            z = z * small
+        if z.is_zero():
+            continue
+        want = padic_residue(embed_padic(z, build_tower(p, z.order)))
+        assert residue_image(z, p) == want
+        zeros += not any(want)
+    assert zeros
+
+
+def test_residue_image_rejects_p_in_the_denominator():
+    with pytest.raises(ValueError):
+        residue_image(CycloElt.rational(Fraction(2, 15)), 5)
 
 
 @pytest.mark.parametrize(

@@ -375,24 +375,34 @@ def test_congruence_scan_quad3_pair_present():
     assert all(pr.residue1 == pr.residue2 for pr in hits)
 
 
-def test_congruence_scan_embeds_each_value_once(monkeypatch):
-    # the residue of a value must reuse the image its valuation was judged on
-    calls = {"embeds": 0, "values": 0}
-    embed, ladder = padic.embed_padic, scans.cyclo_valuation
+def test_congruence_scan_reduces_each_value_once(monkeypatch):
+    # a value prime to p in its denominator is reduced in the residue field
+    # with no embedding; any other is embedded once, and its residue is read
+    # off the image its valuation was judged on
+    log = []
 
-    def counting_embed(*args, **kwargs):
-        calls["embeds"] += 1
-        return embed(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            log.append((name, args[0]))
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counting_ladder(*args, **kwargs):
-        calls["values"] += 1
-        return ladder(*args, **kwargs)
-
-    monkeypatch.setattr(padic, "embed_padic", counting_embed)
-    monkeypatch.setattr(scans, "cyclo_valuation", counting_ladder)
+    monkeypatch.setattr(padic, "embed_padic", counting("embed", padic.embed_padic))
+    for name in ("_truncated_residue", "residue_image", "padic_residue"):
+        monkeypatch.setattr(scans, name, counting(name, getattr(scans, name)))
     rep = residue_congruence_scan(33, 5)
-    assert calls["values"] == 2 * len(rep.pairs) > 0
-    assert calls["embeds"] == calls["values"]
+    starts = [i for i, (name, _arg) in enumerate(log) if name == "_truncated_residue"]
+    assert len(starts) == 2 * len(rep.pairs) > 0
+    kinds = set()
+    for i, j in zip(starts, [*starts[1:], len(log)]):
+        calls = [name for name, _arg in log[i + 1 : j]]
+        kinds.add(tuple(calls))
+        if calls == ["residue_image"]:
+            assert log[i + 1][1].den % 5
+        else:
+            assert calls == ["embed", "padic_residue"], calls
+            assert log[i + 1][1].den % 5 == 0
+    assert kinds == {("residue_image",), ("embed", "padic_residue")}
 
 
 def test_congruence_scan_excludes_omega_inverse_class():
