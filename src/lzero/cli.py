@@ -12,14 +12,15 @@ those of ``json.dumps(envelope, sort_keys=True, indent=2)``, but records,
 immutable named tuples, are read in place and go to standard output one at
 a time, so the document is never held whole.  A ``VerdictRecord``, prop1's
 record, has one dedicated renderer, a fixed template of its sorted keys;
-every other type goes through the generic walk.  Each tower descriptor is
-rendered once and its text reused for every record that carries it.
+every other type goes through the generic walk.  Each tower is rendered
+once and its text reused for every record that carries it.
 
 Exit codes: 0 all checks passed; 1 a proved statement failed to verify
 (which would mean a bug) or, under ``--strict``, a conjecture-level anomaly
-was found; 2 invalid input, a modulus above MAX_MODULUS included; 3 the
-report could not be rendered (a bug; stdout holds a partial document); 141
-standard output was closed before the report was written (``| head``).
+was found; 2 invalid input, a modulus above MAX_MODULUS or a cache
+directory that cannot be used included; 3 the report could not be rendered
+(a bug; stdout holds a partial document); 141 standard output was closed
+before the report was written (``| head``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     TheoremViolation,
 )
 from .nt import is_prime
-from .padic import N_CAP, N_START, TowerDescriptor
+from .padic import N_CAP, N_START, PadicTower
 from .scans import (
     VerdictRecord,
     _odd_product_identity,
@@ -129,8 +130,8 @@ class _JsonWriter:
     generic walk, which reads it where it stands: a named tuple as an object
     of its ``_fields``, dict keys as ``str(key)``, other tuples as lists and
     a Fraction as its "a/b" string; any other type raises TypeError.  A
-    tower descriptor is walked once per (p, k, precision), its text
-    re-indented once for each other depth, and both paths reuse it.  Not
+    PadicTower is walked once per (p, k, precision), its text re-indented
+    once for each other depth, and both paths reuse it.  Not
     ``json.JSONEncoder(sort_keys=True, indent=2).iterencode``: an indent
     runs the pure-Python encoder, and it would need a copy of each record
     as a dict.
@@ -181,7 +182,7 @@ class _JsonWriter:
             out.append(render(obj))
         elif type(obj) is VerdictRecord:
             out.append(self._verdict_text(obj, nl))
-        elif type(obj) is TowerDescriptor:
+        elif type(obj) is PadicTower:
             out.append(self._tower_text(obj, nl))
         else:
             text = _scalar_text(obj)
@@ -191,7 +192,7 @@ class _JsonWriter:
                 out.append(text)
 
     def _tower_text(self, tower, nl) -> str:
-        key = (tower["p"], tower["k"], tower["precision"])
+        key = tower[:3]  # (p, k, precision)
         texts = self._towers.get(key)
         if texts is None:
             texts = self._towers[key] = {}
@@ -213,7 +214,7 @@ class _JsonWriter:
     def _verdict_text(self, record, nl) -> str:
         """The text of a VerdictRecord whose fields have the types that
         scans.integrality_verdict gives them.  A tower that is not a
-        TowerDescriptor, a valuation that is not a Fraction or a flag that
+        PadicTower, a valuation that is not a Fraction or a flag that
         is not True, False or None raises TypeError."""
         (modulus, exponents, p, tower, valuation, global_integral, omega_inverse,
          consistent, question2_zero, notes) = record
@@ -221,7 +222,7 @@ class _JsonWriter:
         if layout is None:
             layout = self._verdicts[nl] = self._verdict_layout(nl)
         heads, inner, lists = layout
-        if type(tower) is not TowerDescriptor or type(valuation) is not Fraction:
+        if type(tower) is not PadicTower or type(valuation) is not Fraction:
             raise TypeError(f"cannot serialize a VerdictRecord with a {type(tower).__name__} "
                             f"tower and a {type(valuation).__name__} valuation")
         exponents_text = lists.get(exponents)
@@ -336,8 +337,8 @@ def _envelope(command: str, params: dict, towers: list, records: list, summary: 
     }
 
 
-def _sorted_towers(descriptors) -> list:
-    uniq = {(d["p"], d["k"], d["precision"]): d for d in descriptors}
+def _sorted_towers(towers) -> list:
+    uniq = {tower[:3]: tower for tower in towers}  # by (p, k, precision)
     return [uniq[key] for key in sorted(uniq)]
 
 
@@ -492,7 +493,7 @@ def _cmd_remark2(args):
     # p >= 3, so p^r > MAX_MODULUS once r reaches its bit length
     _require_modulus(args.p ** min(args.rmax, MAX_MODULUS.bit_length()), "p^rmax")
     rows, towers = _pole_depths(args.p, args.rmax, args.precision)
-    return rows, _sorted_towers(t.descriptor() for t in towers), {"rows": len(rows)}, "ok"
+    return rows, _sorted_towers(towers), {"rows": len(rows)}, "ok"
 
 
 def _cmd_star(args):
@@ -503,7 +504,7 @@ def _cmd_star(args):
         "unique_pole": rep.unique_pole,
         "product_identity": rep.product_identity,
     }
-    return [rep], _sorted_towers(t.descriptor() for t in towers), summary, "ok"
+    return [rep], _sorted_towers(towers), summary, "ok"
 
 
 def _cmd_congruence(args):
@@ -651,11 +652,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # without --cache-dir, lzero.bernoulli binds the cache named by the
-    # environment on first use
-    cache_dir = getattr(args, "cache_dir", None)
+    # a command with --cache-dir binds its cache before any work, so that a
+    # directory that cannot be used is an input error; --cache-dir wins, and
+    # then the directory the environment names is never opened
+    cache_dir = None
+    if hasattr(args, "cache_dir"):
+        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
-        set_cache_dir(cache_dir)
+        try:
+            set_cache_dir(cache_dir)
+        except OSError as exc:
+            where = f" ({exc.filename})" if exc.filename not in (None, cache_dir) else ""
+            print(f"lzero {args.command}: cannot use the cache directory {cache_dir}: "
+                  f"{exc.strerror or exc}{where}", file=sys.stderr)
+            return 2
     # only the mathematical inputs belong in the report; execution details
     # (jobs, cache, format) must not break byte-for-byte determinism
     semantic = ("fmax", "pmax", "p", "q", "f", "chi", "rmax", "precision")

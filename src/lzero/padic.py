@@ -36,14 +36,15 @@ So zeta_k = (1 + pi)^alpha x^beta with alpha k' = 1 mod p^a and
 beta p^a = 1 mod k' is a pure tensor, and so is each of its powers: the
 image of zeta_k^m is the outer product U[alpha m mod p^a] (x) V[beta m mod k']
 of a row of U[n] = (1 + pi)^n mod E and a row of V[m] = x^m mod g.  Each
-tower keeps one table, the images of zeta_k^0, ..., zeta_k^(phi(k) - 1);
-an element of a subfield Q(zeta_m) is first rewritten in Q(zeta_k)
-(CycloElt.embed_into), so every embedding reads that table.  Every
-power table (U, V, the residues x^e mod the chosen factor) is built one
-row at a time, a product or a shift reduced mod a monic polynomial and a
-modulus.  Every product and remainder here is one of _kernels: a product
-keeps no table, it is reduced in place by its monic moduli (mulmod, and
-tower_mul by the lifted g and then E).
+tower has one table, the images of zeta_k^0, ..., zeta_k^(phi(k) - 1),
+cached by this module under the tower's fields (_zeta_power_columns), so
+a tower itself is only its fields.  An element of a subfield Q(zeta_m) is
+first rewritten in Q(zeta_k) (CycloElt.embed_into), so every embedding
+reads that table.  Every power table (U, V, the residues x^e mod the chosen
+factor) is built one row at a time, a product or a shift reduced mod a
+monic polynomial and a modulus.  Every product and remainder here is one
+of _kernels: a product keeps no table, it is reduced in place by its monic
+moduli (mulmod, and tower_mul by the lifted g and then E).
 
 Valuations are judged in the residue field first.  zeta_k^m reduces to
 x^(beta m mod k') in O/P = F_p[x]/(g mod p) at every precision, so a value
@@ -283,17 +284,15 @@ def _x_powers(monic, count: int, m: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-class TowerDescriptor(dict):
-    """The plain dict that PadicTower.descriptor() returns.
+class PadicTower(NamedTuple):
+    """The fixed local model for (p, k) at working precision p^N: the place
+    a verdict is judged at, and what a report prints for it.
 
-    Its contents are fixed by (p, k, precision), so the CLI writes the JSON
-    text of one descriptor once and reuses it for every record that
-    carries an equal one.  A tower has one descriptor, shared by every
-    record judged in it: read-only, though a dict.
+    A plain named tuple with no instance __dict__: its one table is cached
+    by _zeta_power_columns under its fields, so a pickled tower carries
+    these eight fields alone.  A product (PadicElt.__mul__) reads no table.
     """
 
-
-class _PadicTowerFields(NamedTuple):
     p: int
     k: int
     precision: int
@@ -301,74 +300,40 @@ class _PadicTowerFields(NamedTuple):
     wild_exp: int          # a with k = p^a k'
     f_res: int             # residue degree = deg of the chosen factor
     e_ram: int             # ramification index = phi(p^a)
-    lifted_factor: tuple[int, ...]       # monic divisor of Phi_{k'} mod p^N
-
-
-class PadicTower(_PadicTowerFields):
-    """The fixed local model for (p, k) at working precision p^N.
-
-    A named tuple of the fields above.  No __slots__: the one table,
-    zeta_power_columns, and the descriptor are cached_propertys, kept in
-    the instance __dict__.  A product (PadicElt.__mul__) reads no table.
-    """
+    factor: tuple[int, ...]  # monic divisor of Phi_{k'} mod p^N
 
     @property
     def modulus(self) -> int:
         return self.p**self.precision
 
-    def descriptor(self) -> TowerDescriptor:
-        """Everything needed to re-derive the embedding independently.
 
-        One dict per tower, built on first call: every record judged in
-        the tower holds this very object, so it is read-only.
-        """
-        return self._descriptor
+@functools.lru_cache(maxsize=None)
+def _zeta_power_columns(tower: PadicTower) -> tuple:
+    """The images of zeta_k^0, ..., zeta_k^(phi(k) - 1) in tower, stored by
+    column: one tuple per matrix entry (row-major), holding that entry of
+    every image.  Built on first use and cached, keyed by the tower's fields.
 
-    def release_tables(self) -> None:
-        """Forget the table zeta_power_columns; the next use rebuilds it.
-        The descriptor is kept, since records hold it."""
-        self.__dict__.pop("zeta_power_columns", None)
-
-    @functools.cached_property
-    def _descriptor(self) -> TowerDescriptor:
-        return TowerDescriptor({
-            "p": self.p,
-            "k": self.k,
-            "precision": self.precision,
-            "k_tame": self.k_tame,
-            "wild_exp": self.wild_exp,
-            "f_res": self.f_res,
-            "e_ram": self.e_ram,
-            "factor": list(self.lifted_factor),
-        })
-
-    @functools.cached_property
-    def zeta_power_columns(self) -> tuple:
-        """The images of zeta_k^0, ..., zeta_k^(phi(k) - 1), stored by
-        column: one tuple per matrix entry (row-major), holding that entry of
-        every image.  Built on first use and kept with the tower.
-
-        The image of zeta_k^m is the outer product of U[alpha m mod p^a]
-        (the pi-row of (1 + pi)^(alpha m)) and V[beta m mod k'] (the x-row
-        of x^(beta m)); x^k' = 1 mod g and (1 + pi)^(p^a) = 1 mod E.
-        """
-        p, pN = self.p, self.modulus
-        k1, beta = _tame_part(p, self.k)
-        pa = self.k // k1
-        alpha = pow(k1, -1, pa)
-        v = _x_powers(self.lifted_factor, k1, pN)
-        eis = _eisenstein_poly(p, self.wild_exp)
-        u = [(1,) + (0,) * (self.e_ram - 1)]
-        for _ in range(pa - 1):
-            u.append(tuple(mulmod(u[-1], (1, 1), eis, pN)))
-        ms = range(euler_phi(self.k))
-        us = [u[alpha * m % pa] for m in ms]
-        vs = [v[beta * m % k1] for m in ms]
-        return tuple(
-            tuple(ui[j] * vi[l] % pN for ui, vi in zip(us, vs))
-            for j in range(self.e_ram)
-            for l in range(self.f_res)
-        )
+    The image of zeta_k^m is the outer product of U[alpha m mod p^a]
+    (the pi-row of (1 + pi)^(alpha m)) and V[beta m mod k'] (the x-row
+    of x^(beta m)); x^k' = 1 mod g and (1 + pi)^(p^a) = 1 mod E.
+    """
+    p, pN = tower.p, tower.modulus
+    k1, beta = _tame_part(p, tower.k)
+    pa = tower.k // k1
+    alpha = pow(k1, -1, pa)
+    v = _x_powers(tower.factor, k1, pN)
+    eis = _eisenstein_poly(p, tower.wild_exp)
+    u = [(1,) + (0,) * (tower.e_ram - 1)]
+    for _ in range(pa - 1):
+        u.append(tuple(mulmod(u[-1], (1, 1), eis, pN)))
+    ms = range(euler_phi(tower.k))
+    us = [u[alpha * m % pa] for m in ms]
+    vs = [v[beta * m % k1] for m in ms]
+    return tuple(
+        tuple(ui[j] * vi[l] % pN for ui, vi in zip(us, vs))
+        for j in range(tower.e_ram)
+        for l in range(tower.f_res)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,7 +362,7 @@ class PadicElt(NamedTuple):
         self._check(other)
         t = self.tower
         eis = _eisenstein_poly(t.p, t.wild_exp)
-        mat = tower_mul(self.mat, other.mat, t.lifted_factor, eis, t.modulus)
+        mat = tower_mul(self.mat, other.mat, t.factor, eis, t.modulus)
         return PadicElt(t, self.shift + other.shift, tuple(tuple(r) for r in mat))
 
 
@@ -409,7 +374,7 @@ def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
     the image is sum_i n_i img(zeta_k^i) mod p^N, scaled by the inverse of
     den's p-free part; den's p-part becomes the shift.  The images
     img(zeta_k^i) come from the tower's one table
-    (PadicTower.zeta_power_columns).
+    (_zeta_power_columns).
     """
     z = z.embed_into(tower.k)
     p, pN, N = tower.p, tower.modulus, tower.precision
@@ -419,7 +384,7 @@ def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
             f"denominator p-exponent {s} consumes the precision budget N={N}"
         )
     inv_unit = pow(z.den // p**s, -1, pN)
-    flat = [sum(map(mul, z.nums, col)) * inv_unit % pN for col in tower.zeta_power_columns]
+    flat = [sum(map(mul, z.nums, col)) * inv_unit % pN for col in _zeta_power_columns(tower)]
     f = tower.f_res
     mat = tuple(tuple(flat[j : j + f]) for j in range(0, len(flat), f))
     return PadicElt(tower, s, mat)

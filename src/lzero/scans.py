@@ -74,7 +74,6 @@ from .nt import euler_phi, factorize, is_prime, primes_upto, valuation
 from .padic import (
     N_START,
     PadicTower,
-    TowerDescriptor,
     _ladder,
     _tame_part,
     char_is_omega_power_mod_p,
@@ -116,15 +115,13 @@ class VerdictRecord(NamedTuple):
     ``question2_zero`` is a report-only probe: for omega-inverse-congruent
     characters whose conductor is *not* a p-power it records whether the
     (then integral) L-value vanishes mod the place; it is None otherwise.
-    ``tower`` is the descriptor of the tower the valuation was taken in,
-    the one PadicTower.descriptor() object that every record judged in that
-    tower shares: read-only.
+    ``tower`` is the PadicTower the valuation was taken in.
     """
 
     modulus: int
     exponents: tuple[int, ...]
     p: int
-    tower: dict
+    tower: PadicTower
     valuation: Fraction
     global_integral: bool
     omega_inverse: bool
@@ -147,15 +144,14 @@ def integrality_verdict(chi: DirichletChar, p: int, n_start: int = N_START) -> V
         raise ValueError("p must be an odd prime")
     lv = l_value_at_zero(chi).l_at_zero
     val, tower = cyclo_valuation(lv, p, n_start)
-    return _verdict_record(chi, p, lv, val, tower.descriptor(), n_start)
+    return _verdict_record(chi, p, lv, val, tower, n_start)
 
 
 def _verdict_record(
-    chi: DirichletChar, p: int, lv: CycloElt, val: Fraction, tower: TowerDescriptor,
-    n_start: int,
+    chi: DirichletChar, p: int, lv: CycloElt, val: Fraction, tower: PadicTower, n_start: int,
 ) -> VerdictRecord:
     """The verdict for (chi, p), given L(0, chi) = lv and its valuation val,
-    judged in the tower described by `tower`; the omega^(-1) test is run here."""
+    judged in tower; the omega^(-1) test is run here."""
     f = chi.modulus
     is_ppow = f > 1 and f == p ** valuation(f, p)
     om_inv = char_is_omega_power_mod_p(chi, p, -1)
@@ -165,8 +161,8 @@ def _verdict_record(
     if om_inv and not is_ppow and sign >= 0:
         q2 = sign > 0
     notes = ""
-    if tower["precision"] != n_start:
-        notes = f"precision escalated to {tower['precision']}"
+    if tower.precision != n_start:
+        notes = f"precision escalated to {tower.precision}"
     # fields by position: a named tuple is built about 4x slower from keywords
     return VerdictRecord(f, chi.exponents, p, tower, val, lv.is_algebraic_integer(), om_inv,
                          consistent, q2, notes)
@@ -216,37 +212,23 @@ def _coset_valuations(
 
 
 def _orbit_verdicts(
-    orbit: list[tuple[int, DirichletChar]], primes: list[int], n_start: int,
-    towers: dict[tuple[int, int], PadicTower] | None = None,
+    orbit: list[tuple[int, DirichletChar]], primes: list[int], n_start: int
 ) -> list[VerdictRecord]:
     """integrality_verdict for every member of one Galois orbit at every p,
     with one valuation per coset of the decomposition group of p
-    (_coset_valuations).  Each tower a valuation stopped in is entered in
-    `towers`, if given, under (p, precision)."""
+    (_coset_valuations)."""
     lvs = [rec.l_at_zero for rec in orbit_l_values(orbit)]
-    records = []
-    for p in primes:
-        for chi, lv, val, tower in _coset_valuations(orbit, lvs, p, n_start):
-            if towers is not None:
-                towers[p, tower.precision] = tower
-            records.append(_verdict_record(chi, p, lv, val, tower.descriptor(), n_start))
-    return records
+    return [_verdict_record(chi, p, lv, val, tower, n_start)
+            for p in primes
+            for chi, lv, val, tower in _coset_valuations(orbit, lvs, p, n_start)]
 
 
 def _value_order_verdicts(
     group: list[list[tuple[int, DirichletChar]]], primes: list[int], n_start: int
 ) -> list[VerdictRecord]:
     """_orbit_verdicts for every orbit of one value order k.  L(0, chi) lies
-    in Q(zeta_k), so the towers (p, k, N) serve this group alone, and the
-    tables of those its valuations stopped in are released once it is
-    judged.  A rung that a ladder escalated past is not looked up again:
-    with n_start 1 or 2, up to f_max 200 and p_max 61, every such rung was
-    also the stop of another valuation of its group."""
-    towers: dict[tuple[int, int], PadicTower] = {}
-    records = [rec for orbit in group for rec in _orbit_verdicts(orbit, primes, n_start, towers)]
-    for tower in towers.values():
-        tower.release_tables()
-    return records
+    in Q(zeta_k), so the towers (p, k, N) serve this group alone."""
+    return [rec for orbit in group for rec in _orbit_verdicts(orbit, primes, n_start)]
 
 
 def nonintegral_locus_scan(
@@ -262,13 +244,11 @@ def nonintegral_locus_scan(
     Question 2 fields that follow from it, are computed per character.
 
     The unit of work is the group of orbits of one value order k, whatever
-    jobs is: the towers (p, k, N) serve that group alone, so their tables are
-    released once it is judged (_value_order_verdicts), and memory holds
-    the tables of one group at a time.  Every record judged in a tower
-    holds that tower's one descriptor (PadicTower.descriptor), shared and
-    read-only.  With jobs > 1 a task is one group, the largest (by
-    characters) first, so no two workers sum the same orbit's B_{1,chi} or
-    build the same tower.
+    jobs is: the towers (p, k, N) serve that group alone
+    (_value_order_verdicts).  Every record holds the tower it was judged
+    in.  With jobs > 1 a task is one group, the largest (by characters)
+    first, so no two workers sum the same orbit's B_{1,chi} or build the
+    same tower.
 
     Hard-checks on the way out: every record must satisfy the proved
     classification, every negative valuation must equal the proved pole

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from lzero import (
     ClassificationViolation,
     DirichletChar,
+    PadicTower,
     VerdictRecord,
     __version__,
     build_tower,
@@ -143,7 +144,8 @@ def test_towers_are_those_the_ladder_used(argv, want, capsys):
     assert code == 0
     doc = json.loads(out)
     p = doc["params"]["p"]
-    assert doc["towers"] == [build_tower(p, k, n).descriptor() for k, n in want]
+    got = [PadicTower(**dict(tower, factor=tuple(tower["factor"]))) for tower in doc["towers"]]
+    assert got == [build_tower(p, k, n) for k, n in want]
     for rec in doc["records"]:
         chars = ([(5, exps) for exps, _v in rec["factors"]] if "factors" in rec
                  else [(rec["modulus"], rec["exponents"])])
@@ -402,11 +404,10 @@ class _Level(enum.IntEnum):  # an int subclass: written as its int
     HIGH = 2**70
 
 
-_DESCRIPTORS = [build_tower(p, k, n).descriptor()
-                for p, k, n in [(3, 2, 16), (5, 4, 16), (3, 18, 16), (5, 4, 32)]]
+_TOWERS = [build_tower(p, k, n) for p, k, n in [(3, 2, 16), (5, 4, 16), (3, 18, 16), (5, 4, 32)]]
 _SCALARS = (st.none() | st.booleans() | st.integers()
             | st.integers(min_value=-10**400, max_value=10**400)
-            | st.fractions() | st.text() | st.sampled_from([*_Level, *_DESCRIPTORS]))
+            | st.fractions() | st.text() | st.sampled_from([*_Level, *_TOWERS]))
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: (st.lists(inner, max_size=4)
@@ -446,7 +447,7 @@ _VERDICTS = st.builds(
     modulus=st.integers(1, 10**6),
     exponents=st.lists(st.integers(0, 10**4), max_size=3).map(tuple),
     p=st.integers(2, 10**6),
-    tower=st.sampled_from(_DESCRIPTORS),
+    tower=st.sampled_from(_TOWERS),
     valuation=st.fractions(max_denominator=50) | st.just(Fraction(0)),
     global_integral=st.booleans(),
     omega_inverse=st.booleans(),
@@ -743,6 +744,44 @@ def test_cache_env_variable_attaches_once(tmp_path):
     for _ in range(2):
         argv = ["prop1", "--fmax", "12", "--pmax", "5", "--jobs", "2"]
         assert _attaches(argv, env) == [str(env_dir)]
+
+
+# cache directories no run can use, under tmp_path: a file, a path under a
+# file, and a directory whose b1chi.jsonl is itself a directory
+_UNUSABLE_CACHE_DIRS = {"file": "file", "under_a_file": "file/sub",
+                        "jsonl_is_a_directory": "dir"}
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+@pytest.mark.parametrize("case", sorted(_UNUSABLE_CACHE_DIRS))
+def test_unusable_cache_dir_is_an_input_error(tmp_path, monkeypatch, capsys, case, how):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "b1chi.jsonl").mkdir(parents=True)
+    bad = str(tmp_path / _UNUSABLE_CACHE_DIRS[case])
+    argv = ["lvalue", "-f", "7", "--chi", "1"]
+    if how == "flag":
+        monkeypatch.delenv("LZERO_CACHE_DIR", raising=False)
+        flag = ["--cache-dir", bad]
+    else:
+        monkeypatch.setenv("LZERO_CACHE_DIR", bad)
+        flag = []
+    try:
+        code, out, err = run_cli([*argv, *flag], capsys)
+    finally:
+        set_cache_dir(None)
+    # exit 2, not a traceback and exit 1: one line that names the directory
+    assert (code, out) == (2, "")
+    assert err.startswith(f"lzero lvalue: cannot use the cache directory {bad}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    # --cache-dir wins, and the directory the environment names is never opened
+    monkeypatch.setenv("LZERO_CACHE_DIR", bad)
+    good = tmp_path / "good"
+    try:
+        code, out, err = run_cli([*argv, "--cache-dir", str(good)], capsys)
+    finally:
+        set_cache_dir(None)
+    assert (code, err) == (0, "")
+    assert (good / "b1chi.jsonl").stat().st_size > 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,11 +8,11 @@ the one value, whose denominator is a Galois invariant.  Each test here
 rebuilds the same answer one character at a time (integrality_verdict,
 deligne_ribet_check, l_value_at_zero) and compares.  The classification
 scan judges the orbits of one value order k together, since the towers
-(p, k, N) serve them alone; the tests at the end check that grouping, the
-release of the towers' tables and the one descriptor per tower.
+(p, k, N) serve them alone; the tests at the end check that grouping, that
+each record holds the tower it was judged in, and that a tower's table is
+built only where a value fell through to the precision ladder.
 """
 
-import functools
 import multiprocessing
 from fractions import Fraction
 from math import gcd
@@ -21,12 +21,10 @@ import pytest
 
 from lzero import (
     N_START,
-    PadicTower,
     build_tower,
     cyclo_valuation,
     deligne_ribet_check,
     deligne_ribet_scan,
-    embed_padic,
     enumerate_characters,
     galois_orbits,
     integrality_verdict,
@@ -253,63 +251,32 @@ def test_star_by_orbits_equals_per_character_reference(fresh_cache, monkeypatch,
     assert towers == [t for _v, t in judged]
 
 
-def _scan_towers(records, n_start):
-    """Every tower (p, k, N) the scan's ladders ran through: the rung each
-    record stopped at and the rungs below it."""
-    stops = {(r.p, r.tower["k"], r.tower["precision"]) for r in records}
-    rungs = set()
-    for p, k, precision in stops:
-        n = n_start
-        while n <= precision:
-            rungs.add((p, k, n))
-            n *= 2
-    return rungs
-
-
 def test_records_judged_in_one_tower_share_its_descriptor():
+    # a tower is its own descriptor: each record holds the very tower its
+    # valuation was taken in, build_tower's one object for (p, k, N)
     records = nonintegral_locus_scan(40, 13)
     for rec in records:
-        tower = build_tower(rec.p, rec.tower["k"], rec.tower["precision"])
-        assert rec.tower is tower.descriptor()
-    assert build_tower(5, 4).descriptor() is build_tower(5, 4).descriptor()
+        assert rec.tower is build_tower(rec.p, rec.tower.k, rec.tower.precision)
+    assert build_tower(5, 4) is build_tower(5, 4)
 
 
 @pytest.fixture
 def empty_tower_cache():
-    # build_tower's lru_cache is process-wide: a tower another test embedded
-    # in keeps its table, and a scan that only passes its rung does not
-    # release it
+    # build_tower's and _zeta_power_columns's lru_caches are process-wide:
+    # a tower another test embedded in keeps its table
     build_tower.cache_clear()
-
-
-@pytest.mark.parametrize("n_start", [N_START, 1])  # 1: ladders escalate to 2
-def test_a_scan_releases_the_tables_of_its_towers(n_start, empty_tower_cache):
-    records = nonintegral_locus_scan(36, 13, n_start)
-    keys = _scan_towers(records, n_start)
-    assert any(n > n_start for _p, _k, n in keys) == (n_start == 1)
-    for key in keys:
-        assert "zeta_power_columns" not in vars(build_tower(*key)), key
-    # a later use rebuilds the table, and it is the table a fresh copy builds
-    rep = next(orbit[0][1] for orbit in galois_orbits(36) if orbit[0][1].modulus == 36)
-    lv = l_value_at_zero(rep).l_at_zero
-    for p in (3, 5, 13):
-        _v, tower, image = padic._ladder(lv, p, n_start)
-        assert (p, rep.value_order, tower.precision) in keys
-        assert "zeta_power_columns" in vars(tower)
-        fresh = PadicTower(*tower)
-        assert image.mat == embed_padic(lv, fresh).mat
-        assert tower.zeta_power_columns == fresh.zeta_power_columns
+    padic._zeta_power_columns.cache_clear()
 
 
 def test_a_scan_builds_tables_only_where_the_ladder_ran(monkeypatch, empty_tower_cache):
     # a value the residue field judges needs no table; a tower's table is
     # built once, and only if some value of its group fell through to the
     # ladder and stopped there
-    built, stops = [], set()
-    columns, ladder = PadicTower.zeta_power_columns.func, padic._ladder
+    read, stops = [], set()
+    columns, ladder = padic._zeta_power_columns, padic._ladder
 
     def recording_columns(tower):
-        built.append(tower[:3])
+        read.append(tower[:3])
         return columns(tower)
 
     def recording_ladder(z, p, n_start):
@@ -317,14 +284,12 @@ def test_a_scan_builds_tables_only_where_the_ladder_ran(monkeypatch, empty_tower
         stops.add(judged[1][:3])
         return judged
 
-    prop = functools.cached_property(recording_columns)
-    prop.__set_name__(PadicTower, "zeta_power_columns")
-    monkeypatch.setattr(PadicTower, "zeta_power_columns", prop)
+    monkeypatch.setattr(padic, "_zeta_power_columns", recording_columns)
     monkeypatch.setattr(padic, "_ladder", recording_ladder)
     records = nonintegral_locus_scan(40, 13)
-    used = {(r.p, r.tower["k"], r.tower["precision"]) for r in records}
-    assert len(built) == len(set(built))
-    assert set(built) == stops
+    used = {r.tower[:3] for r in records}
+    assert columns.cache_info().misses == len(set(read))
+    assert set(read) == stops
     assert stops < used
 
 
@@ -344,17 +309,6 @@ def test_valuation_equals_the_plain_ladder(n_start):
                 assert tower is want_tower and type(v) is Fraction
                 seen.add("p | den" if lv.den % p == 0 else "v > 0" if v else "unit")
     assert seen == {"p | den", "v > 0", "unit"}
-
-
-def test_release_tables_keeps_the_descriptor():
-    tower = PadicTower(*build_tower(7, 36, 16))
-    descriptor = tower.descriptor()
-    columns = tower.zeta_power_columns
-    tower.release_tables()
-    tower.release_tables()  # nothing left to forget
-    assert "zeta_power_columns" not in vars(tower)
-    assert tower.descriptor() is descriptor
-    assert tower.zeta_power_columns == columns and tower.zeta_power_columns is not columns
 
 
 class _SerialPool:

@@ -250,7 +250,7 @@ def _elt(tower, entries):
 
 def _column_image(tower, i):
     """The image of zeta_k^i, read from the tower's column table."""
-    flat = [col[i] for col in tower.zeta_power_columns]
+    flat = [col[i] for col in padic._zeta_power_columns(tower)]
     f = tower.f_res
     return PadicElt(tower, 0, tuple(tuple(flat[j : j + f]) for j in range(0, len(flat), f)))
 
@@ -270,7 +270,7 @@ def _zeta_reference(t):
     tower: alpha k' = 1 mod p^a, beta p^a = 1 mod k', and x is the lifted
     root of g when f = 1."""
     pa = t.k // t.k_tame
-    x = _elt(t, {(0, 1): 1} if t.f_res > 1 else {(0, 0): -t.lifted_factor[0]})
+    x = _elt(t, {(0, 1): 1} if t.f_res > 1 else {(0, 0): -t.factor[0]})
     one_pi = _elt(t, {(0, 0): 1, (1, 0): 1} if pa > 1 else {(0, 0): 1})
     beta = pow(pa, -1, t.k_tame) if t.k_tame > 1 else 1
     return _power(one_pi, pow(t.k_tame, -1, pa)) * _power(x, beta)
@@ -321,9 +321,9 @@ def _remainder(poly, monic, mod):
 
 def test_hensel_factor_congruent_mod_p():
     t = build_tower(5, 20, 32)
-    assert [c % 5 for c in t.lifted_factor] == [c % 5 for c in residue_factor(5, 4)]
+    assert [c % 5 for c in t.factor] == [c % 5 for c in residue_factor(5, 4)]
     # and it still divides Phi_{k'} to the working precision
-    rem = _remainder(cyclotomic_poly(4), t.lifted_factor, 5**32)
+    rem = _remainder(cyclotomic_poly(4), t.factor, 5**32)
     assert all(c == 0 for c in rem)
 
 
@@ -436,7 +436,7 @@ def test_hensel_lift_rejects_a_non_divisor_of_x_k_minus_1(N):
 def test_lifted_root_at_5_4():
     # the chosen factor of x^2+1 over Z_5 is x - r with r = 2 mod 5
     t = build_tower(5, 4, 16)
-    (c0, c1) = t.lifted_factor
+    (c0, c1) = t.factor
     assert c1 == 1
     root = (-c0) % 5**16
     assert root % 5 == 2
@@ -630,7 +630,7 @@ def test_place_restricts_coherently(p, k_small, k_big):
     tower's place: same valuations and same residues for many elements."""
     small = build_tower(p, k_small)
     big = build_tower(p, k_big)
-    assert small.f_res == len(small.lifted_factor) - 1
+    assert small.f_res == len(small.factor) - 1
     for m in range(k_small):
         z = CycloElt.zeta(k_small, m) + CycloElt.rational(m % 3)
         if z.is_zero():

@@ -1,13 +1,14 @@
 """Records are immutable named tuples: fields, equality, hashing, pickling.
 
 Every record type of the package is a ``typing.NamedTuple`` (DirichletChar
-and PadicTower through a named-tuple base, for the constructor's checks and
-the tower's cached tables).  The CLI reads them through ``_fields`` and
-``--jobs`` workers send them back pickled.
+through a named-tuple base, for the constructor's checks), with no instance
+``__dict__``.  The CLI reads them through ``_fields`` and ``--jobs`` workers
+send them back pickled.
 """
 
 import os
 import pickle
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -15,10 +16,12 @@ import pytest
 
 from lzero import (
     DirichletChar,
+    PadicTower,
     build_tower,
     embed_padic,
     integrality_verdict,
     l_value_at_zero,
+    nonintegral_locus_scan,
     unit_group_basis,
 )
 from lzero import padic
@@ -72,6 +75,12 @@ def test_record_is_a_named_tuple(samples, name):
     assert isinstance(rec, tuple)
     assert type(rec)._fields == tuple(rec._asdict())
     assert list(rec) == [getattr(rec, f) for f in rec._fields]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_record_has_no_instance_dict(samples, name):
+    # a record is its fields: nothing cached on it, nothing more to pickle
+    assert not hasattr(samples[name], "__dict__")
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -167,7 +176,10 @@ def test_dirichlet_char_make_and_replace_check_exponents(flags):
 
 
 def test_zeta_power_columns_are_built_once_per_tower(monkeypatch):
-    want = build_tower(7, 36, 16).zeta_power_columns
+    tower = build_tower(7, 36, 16)
+    z = CycloElt.zeta(36, 5) * CycloElt.rational(Fraction(3, 7), 36)
+    want, image = padic._zeta_power_columns(tower), embed_padic(z, tower)
+    padic._zeta_power_columns.cache_clear()
     calls = []
     x_powers = padic._x_powers
 
@@ -176,11 +188,33 @@ def test_zeta_power_columns_are_built_once_per_tower(monkeypatch):
         return x_powers(*args)
 
     monkeypatch.setattr(padic, "_x_powers", counting)
-    tower = padic.PadicTower(*build_tower(7, 36, 16))  # a copy with no tables yet
-    first = tower.zeta_power_columns
-    assert tower.zeta_power_columns is first
-    embed_padic(CycloElt.zeta(36, 5), tower)
+    first = padic._zeta_power_columns(tower)
+    assert padic._zeta_power_columns(tower) is first
+    # an equal tower, a copy or one a worker sent back, reads the same table
+    copy = pickle.loads(pickle.dumps(PadicTower(*tower)))
+    assert copy is not tower and padic._zeta_power_columns(copy) is first
+    assert embed_padic(z, copy) == embed_padic(z, tower)
     assert len(calls) == 1
-    assert first == want
-    other = padic.PadicTower(*tower)
-    assert other.zeta_power_columns is not first and len(calls) == 2
+    # the table built again is the one built before, and so is the image
+    assert first == want and first is not want
+    assert embed_padic(z, tower).mat == image.mat
+
+
+def test_a_tower_pickles_without_its_table():
+    tower = PadicTower(*build_tower(5, 36, 16))
+    padic._zeta_power_columns.cache_clear()
+    bare = pickle.dumps(tower)
+    padic._zeta_power_columns(tower)
+    assert padic._zeta_power_columns.cache_info().currsize == 1
+    assert pickle.dumps(tower) == bare
+    assert pickle.loads(bare) == tower and type(pickle.loads(bare)) is PadicTower
+
+
+def test_towers_sent_back_by_workers_equal_the_built_ones():
+    records = nonintegral_locus_scan(36, 13, jobs=2)
+    assert records
+    for rec in records:
+        tower = rec.tower
+        assert type(tower) is PadicTower and not hasattr(tower, "__dict__")
+        assert tower.p == rec.p
+        assert tower == build_tower(tower.p, tower.k, tower.precision)

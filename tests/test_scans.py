@@ -7,6 +7,7 @@ import pytest
 from lzero import (
     DirichletChar,
     NoOrderPCharacter,
+    PadicTower,
     char_eval,
     deligne_ribet_check,
     deligne_ribet_scan,
@@ -85,7 +86,8 @@ def test_verdict_requires_odd_primitive():
 def test_verdict_record_shape():
     r = integrality_verdict(DirichletChar(7, (1,)), 7)
     assert r.modulus == 7 and r.exponents == (1,)
-    assert set(r.tower) >= {"p", "k", "precision", "f_res", "e_ram"}
+    assert type(r.tower) is PadicTower
+    assert set(r.tower._fields) >= {"p", "k", "precision", "f_res", "e_ram"}
     assert isinstance(r.valuation, Fraction)
 
 
