@@ -14,13 +14,14 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import NamedTuple
 
 from lzero.cache import CACHE_ENV_VAR, B1Cache
 from lzero.characters import (
     DirichletChar,
     _char_data,
+    _galois_orbits,
     _units,
     _value_exponents,
     enumerate_characters,
@@ -92,7 +93,8 @@ def _b1_sum(chi: DirichletChar) -> CycloElt:
 
 
 def l_value_at_zero(chi: DirichletChar) -> LValueRecord:
-    """L(0, chi) = -B_{1,chi} for a primitive nontrivial character."""
+    """L(0, chi) = -B_{1,chi} for a primitive nontrivial character, read as
+    the one-member orbit [(1, chi)] (_orbit_l_values)."""
     if is_trivial(chi):
         raise ValueError("the trivial character is excluded (its L-value at 0 "
                          "is a zeta value, not a Bernoulli number)")
@@ -100,13 +102,7 @@ def l_value_at_zero(chi: DirichletChar) -> LValueRecord:
         raise ImprimitiveInput(
             f"character mod {chi.modulus} has conductor < modulus; primitivize first"
         )
-    cache = b1_cache()
-    b1 = cache.get(chi.modulus, chi.exponents)
-    if b1 is None:
-        b1 = _b1_sum(chi)
-        _check_vanishing(chi, b1)
-        cache.put(chi.modulus, chi.exponents, b1)
-    return LValueRecord(chi, b1, -b1)
+    return next(_orbit_l_values([(1, chi)]))
 
 
 def _check_vanishing(chi: DirichletChar, b1: CycloElt) -> None:
@@ -119,7 +115,7 @@ def _check_vanishing(chi: DirichletChar, b1: CycloElt) -> None:
 
 def orbit_l_values(orbit: list[tuple[int, DirichletChar]]) -> Iterator[LValueRecord]:
     """l_value_at_zero for every member (j, chi^j) of one Galois orbit, whose
-    first member is (1, chi) (see characters.galois_orbits), one at a time.
+    first member is (1, chi) (see characters._galois_orbits), one at a time.
 
     B_{1,chi^j} = sigma_j(B_{1,chi}), where sigma_j sends zeta_k to zeta_k^j:
     the bucket sum is taken at most once per orbit, for chi, and a member
@@ -175,11 +171,11 @@ def minus_class_number(p: int) -> int:
     Uses h_minus = p * 2^(-(p-3)/2) * prod_{chi odd mod p} L(0, chi), and
     cross-checks the equivalent form 2p * prod (-B_{1,chi} / 2).
 
-    The product is taken one Galois orbit at a time.  The odd characters mod
-    p are chi^m for odd m, chi the one with exponent (1,); chi^m has value
-    order k = (p-1)/gcd(m, p-1), and its orbit {chi^(mj) : gcd(j, k) = 1} is
-    the class of m with that gcd.  L(0, chi^(mj)) = sigma_j(L(0, chi^m)), so
-    an orbit's factor is the norm of one L-value from Q(zeta_k) to Q
+    The product is taken one Galois orbit at a time (_galois_orbits): the
+    odd characters mod p are chi^m for odd m, chi the one with exponent
+    (1,), and the orbit of chi^m is that of chi^d, d = gcd(m, p - 1), its
+    first member.  L(0, chi^(dj)) = sigma_j(L(0, chi^d)), so an orbit's
+    factor is the norm of its first member's L-value from Q(zeta_k) to Q
     (_norm_to_q): one value summed per orbit, and a rational number, which
     is checked.  This check is live: a norm that missed a cyclic factor of
     the Galois group would be an element of a proper subfield, in general
@@ -189,10 +185,11 @@ def minus_class_number(p: int) -> int:
         raise ValueError("p must be an odd prime")
     odd_chars = enumerate_characters(p, parity="odd")
     val = Fraction(1)
-    for d in sorted({gcd(chi.exponents[0], p - 1) for chi in odd_chars}):
-        norm = _norm_to_q(l_value_at_zero(DirichletChar(p, (d,))).l_at_zero).rational_value()
+    for orbit in _galois_orbits(odd_chars):
+        rep = orbit[0][1]
+        norm = _norm_to_q(l_value_at_zero(rep).l_at_zero).rational_value()
         if norm is None:
-            raise NonIntegralResult(f"the norm of L(0, chi) for chi mod {p} ({d},) "
+            raise NonIntegralResult(f"the norm of L(0, chi) for chi mod {p} {rep.exponents} "
                                     f"is not rational")
         val *= norm
     h = Fraction(p) * val / Fraction(2) ** ((p - 3) // 2)

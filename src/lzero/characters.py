@@ -351,20 +351,26 @@ def primitive_odd_characters(f_max: int) -> list[DirichletChar]:
 
 
 def galois_orbits(f_max: int) -> list[list[tuple[int, DirichletChar]]]:
-    """primitive_odd_characters(f_max), partitioned into Galois orbits.
-
-    The orbit of chi, of value order k, is {chi^j : gcd(j, k) = 1}; it is
-    listed as the pairs (j, chi^j) for j = 1, ..., k - 1 prime to k, so its
-    first member (j = 1) is chi itself, the first character of the orbit in
-    the order of primitive_odd_characters.  Conjugates share the conductor
-    and the value order, and they are odd too: k is even, so j is odd.
+    """primitive_odd_characters(f_max), partitioned into Galois orbits
+    (_galois_orbits).
 
     >>> [[(j, c.modulus, c.exponents) for j, c in orbit] for orbit in galois_orbits(5)]
     [[(1, 3, (1,))], [(1, 4, (1,))], [(1, 5, (1,)), (3, 5, (3,))]]
     """
-    # members are the objects primitive_odd_characters made, found by the
-    # key of chi^j, so each character is built once
-    chars = primitive_odd_characters(f_max)
+    return _galois_orbits(primitive_odd_characters(f_max))
+
+
+def _galois_orbits(chars: list[DirichletChar]) -> list[list[tuple[int, DirichletChar]]]:
+    """chars, a Galois-closed list of characters, partitioned into orbits.
+
+    The orbit of chi, of value order k, is {chi^j : gcd(j, k) = 1}; it is
+    listed as the pairs (j, chi^j) for j = 1, ..., k - 1 prime to k, so its
+    first member (j = 1) is chi itself, the first character of the orbit in
+    the order of chars.  Conjugates share the modulus, the conductor, the
+    value order and the parity: an odd chi has even k, so j is odd.
+    """
+    # members are the objects in chars, found by the key of chi^j, so each
+    # character is built once
     left = {chi.key(): chi for chi in chars}
     orbits = []
     for chi in chars:

@@ -9,9 +9,11 @@ statements (residue congruences between characters, vanishing of L(0, chi)
 mod the chosen place) are never asserted: the scans record what happened
 and leave the judgement to the reader.
 
-The classification scan and the root-of-unity bound scan work one Galois
-orbit {chi^j : gcd(j, k) = 1} at a time (k the value order of chi), because
-Galois already determines most of what a conjugate needs:
+The classification scan, the minus-class-number product check and the
+root-of-unity bound scan work one Galois orbit {chi^j : gcd(j, k) = 1} at a
+time (k the value order of chi), from one partition of the characters
+(characters._galois_orbits), because Galois already determines most of
+what a conjugate needs:
 
 * B_{1,chi^j} = sigma_j(B_{1,chi}) with sigma_j: zeta_k -> zeta_k^j, so one
   bucket sum per orbit gives every member's L-value
@@ -28,17 +30,19 @@ Galois already determines most of what a conjugate needs:
   one per prime above p in Q(zeta_k'), instead of phi(k).  A judged value
   is embedded only if its residue cannot decide it (padic.cyclo_valuation).
 
-What stays per character: the omega^(-1) residue test (sigma_j acts on the
-residue field as a power of Frobenius, so the residue of chi^j is not that
-of chi), and with it the classification and Question 2 fields of a record.
+The classification scan and the product check share one walk from orbits
+to verdicts (_orbit_verdicts); the product check sorts its records back
+into the order of the characters.  What stays per character: the
+omega^(-1) residue test (sigma_j acts on the residue field as a power of
+Frobenius, so the residue of chi^j is not that of chi), and with it the
+classification and Question 2 fields of a record.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -51,6 +55,7 @@ from .bernoulli import (
 )
 from .characters import (
     DirichletChar,
+    _galois_orbits,
     char_eval,
     conductor,
     enumerate_characters,
@@ -195,40 +200,29 @@ def _decomposition_cosets(p: int, k: int, js: list[int]) -> list[int]:
     return out
 
 
-def _coset_valuations(
-    orbit: list[tuple[int, DirichletChar]], lvs: Iterable[CycloElt], p: int, n_start: int
-) -> Iterator[tuple[DirichletChar, CycloElt, Fraction, PadicTower]]:
-    """(chi, L(0, chi), v, tower) for each member of one Galois orbit, given
-    its L-values lvs in the orbit's order, with one cyclo_valuation per
-    coset of the decomposition group of p: its valuation and tower stand
-    for the whole coset.  lvs is read one value at a time, so it may be a
-    lazy iterator (bernoulli.orbit_l_values)."""
-    k = orbit[0][1].value_order
-    judged: dict[int, tuple[Fraction, PadicTower]] = {}
-    for (_j, chi), lv, coset in zip(orbit, lvs, _decomposition_cosets(p, k, [j for j, _ in orbit])):
-        if coset not in judged:
-            judged[coset] = cyclo_valuation(lv, p, n_start)
-        yield chi, lv, *judged[coset]
-
-
 def _orbit_verdicts(
-    orbit: list[tuple[int, DirichletChar]], primes: list[int], n_start: int
+    orbits: list[list[tuple[int, DirichletChar]]], primes: list[int], n_start: int
 ) -> list[VerdictRecord]:
-    """integrality_verdict for every member of one Galois orbit at every p,
-    with one valuation per coset of the decomposition group of p
-    (_coset_valuations)."""
-    lvs = [rec.l_at_zero for rec in orbit_l_values(orbit)]
-    return [_verdict_record(chi, p, lv, val, tower, n_start)
-            for p in primes
-            for chi, lv, val, tower in _coset_valuations(orbit, lvs, p, n_start)]
+    """integrality_verdict for every member of every orbit at every p, orbit
+    by orbit, member by member, p by p.
 
-
-def _value_order_verdicts(
-    group: list[list[tuple[int, DirichletChar]]], primes: list[int], n_start: int
-) -> list[VerdictRecord]:
-    """_orbit_verdicts for every orbit of one value order k.  L(0, chi) lies
-    in Q(zeta_k), so the towers (p, k, N) serve this group alone."""
-    return [rec for orbit in group for rec in _orbit_verdicts(orbit, primes, n_start)]
+    An orbit's L-values come from one bucket sum (orbit_l_values) and are
+    read one at a time, never listed.  At each p one cyclo_valuation is
+    taken per coset of the decomposition group of p, for the coset's first
+    member: its valuation and tower stand for the whole coset."""
+    records = []
+    for orbit in orbits:
+        k = orbit[0][1].value_order
+        js = [j for j, _ in orbit]
+        walks = [(p, _decomposition_cosets(p, k, js), {}) for p in primes]
+        for i, rec in enumerate(orbit_l_values(orbit)):
+            lv = rec.l_at_zero
+            for p, cosets, judged in walks:  # judged: coset -> (v, tower)
+                coset = cosets[i]
+                if coset not in judged:
+                    judged[coset] = cyclo_valuation(lv, p, n_start)
+                records.append(_verdict_record(rec.chi, p, lv, *judged[coset], n_start))
+    return records
 
 
 def nonintegral_locus_scan(
@@ -244,11 +238,11 @@ def nonintegral_locus_scan(
     Question 2 fields that follow from it, are computed per character.
 
     The unit of work is the group of orbits of one value order k, whatever
-    jobs is: the towers (p, k, N) serve that group alone
-    (_value_order_verdicts).  Every record holds the tower it was judged
-    in.  With jobs > 1 a task is one group, the largest (by characters)
-    first, so no two workers sum the same orbit's B_{1,chi} or build the
-    same tower.
+    jobs is, judged by _orbit_verdicts: L(0, chi) lies in Q(zeta_k), so the
+    towers (p, k, N) serve that group alone.  Every record holds the tower
+    it was judged in.  With jobs > 1 a task is one group, the largest (by
+    characters) first, so no two workers sum the same orbit's B_{1,chi} or
+    build the same tower.
 
     Hard-checks on the way out: every record must satisfy the proved
     classification, every negative valuation must equal the proved pole
@@ -261,7 +255,7 @@ def nonintegral_locus_scan(
     for orbit in galois_orbits(f_max):
         by_order.setdefault(orbit[0][1].value_order, []).append(orbit)
     groups = sorted(by_order.values(), key=lambda g: sum(map(len, g)), reverse=True)
-    judge = functools.partial(_value_order_verdicts, primes=primes, n_start=n_start)
+    judge = functools.partial(_orbit_verdicts, primes=primes, n_start=n_start)
     if jobs > 1:
         import multiprocessing  # only here: it costs every start-up otherwise
 
@@ -528,56 +522,39 @@ def odd_product_identity_check(p: int, n_start: int = N_START) -> ProductIdentit
 def _odd_product_identity(p: int, n_start: int) -> tuple[ProductIdentityReport, list[PadicTower]]:
     """odd_product_identity_check's report and its factors' towers.
 
-    The odd characters mod p are taken one Galois orbit at a time, as in
-    _orbit_verdicts: chi^m's orbit is {chi^(mj) : gcd(j, k) = 1}, k the value
-    order of chi^m, its L-values come from one bucket sum (orbit_l_values),
-    read one at a time, and the valuation is taken once per coset of the
-    decomposition group (_coset_valuations).
-    An orbit is judged when its first member comes up in the order of
-    enumerate_characters, so the factors and the checks keep that order.
+    The odd characters mod p are judged by prop1's walk, _orbit_verdicts,
+    one Galois orbit at a time (_galois_orbits): one bucket sum per orbit,
+    its L-values read one at a time, and one valuation per coset of the
+    decomposition group of p.  The records are sorted by exponents, the
+    order of enumerate_characters, so the factors and the checks keep it.
     """
     h = minus_class_number(p)
     chars = enumerate_characters(p, primitive_only=True, parity="odd")
-    by_exponent = {chi.exponents[0]: chi for chi in chars}
-    judged: dict[int, tuple[Fraction, PadicTower]] = {}  # exponent -> (v, tower)
-    factors = []
-    towers = []
-    poles = []
-    for chi in chars:
-        m = chi.exponents[0]
-        if m not in judged:
-            k = chi.value_order
-            orbit = [(j, by_exponent[m * j % (p - 1)]) for j in range(1, k) if gcd(j, k) == 1]
-            lvs = (rec.l_at_zero for rec in orbit_l_values(orbit))
-            for member, _lv, v, tower in _coset_valuations(orbit, lvs, p, n_start):
-                judged[member.exponents[0]] = v, tower
-        v, tower = judged[m]
-        factors.append((chi.exponents, v))
-        towers.append(tower)
-        if v < 0:
-            poles.append((chi, v))
-            if v != -1:
-                raise ClassificationViolation(
-                    f"pole of order {-v} at chi mod {p} {chi.exponents}; only simple "
-                    f"poles can occur"
-                )
-    unique = len(poles) == 1 and char_is_omega_power_mod_p(poles[0][0], p, -1)
-    if not unique:
+    records = sorted(_orbit_verdicts(_galois_orbits(chars), [p], n_start),
+                     key=attrgetter("exponents"))
+    poles = [rec for rec in records if rec.valuation < 0]
+    for rec in poles:
+        if rec.valuation != -1:
+            raise ClassificationViolation(
+                f"pole of order {-rec.valuation} at chi mod {p} {rec.exponents}; only "
+                f"simple poles can occur"
+            )
+    if not (len(poles) == 1 and poles[0].omega_inverse):
         raise ClassificationViolation(
             f"expected the unique simple pole at omega^(-1) mod {p}, found "
-            f"{[c.exponents for c, _ in poles]}"
+            f"{[rec.exponents for rec in poles]}"
         )
-    if sum(v for _, v in factors) + 1 != valuation(h, p):
+    if sum(rec.valuation for rec in records) + 1 != valuation(h, p):
         raise ClassificationViolation(
             f"factor valuations do not book against h_minus({p}) = {h}"
         )
     return ProductIdentityReport(
         p=p,
         h_minus=h,
-        factors=tuple(factors),
+        factors=tuple((rec.exponents, rec.valuation) for rec in records),
         unique_pole=True,
         product_identity=True,
-    ), towers
+    ), [rec.tower for rec in records]
 
 
 def _truncated_residue(

@@ -84,9 +84,33 @@ def test_orbit_scan_equals_per_character_reference(jobs):
 @pytest.mark.parametrize("p,f", WILD, ids=str)
 def test_orbit_verdicts_equal_per_character_reference_in_wild_towers(p, f):
     orbits = [orbit for orbit in galois_orbits(f) if orbit[0][1].modulus == f]
-    got = [rec for orbit in orbits for rec in scans._orbit_verdicts(orbit, [p], N_START)]
+    got = scans._orbit_verdicts(orbits, [p], N_START)
     want = [integrality_verdict(chi, p) for orbit in orbits for _, chi in orbit]
     assert got == want
+
+
+def test_orbit_verdicts_draw_l_values_one_at_a_time(monkeypatch):
+    # an orbit's first value is judged before its second is drawn, so the
+    # walk never holds an orbit's values whole (at p = 2459 one orbit holds
+    # 1228 values of 1228 coordinates)
+    events = []
+    l_values, valuation_of = scans.orbit_l_values, scans.cyclo_valuation
+
+    def recording_l_values(orbit):
+        for rec in l_values(orbit):
+            events.append(("value", rec.chi))
+            yield rec
+
+    def recording_valuation(z, p, n_start=N_START):
+        events.append(("valuation", p))
+        return valuation_of(z, p, n_start)
+
+    monkeypatch.setattr(scans, "orbit_l_values", recording_l_values)
+    monkeypatch.setattr(scans, "cyclo_valuation", recording_valuation)
+    orbit = next(o for o in galois_orbits(40) if o[0][1].modulus == 37)
+    scans._orbit_verdicts([orbit], [3, 5], N_START)
+    assert events[:3] == [("value", orbit[0][1]), ("valuation", 3), ("valuation", 5)]
+    assert [chi for kind, chi in events if kind == "value"] == [chi for _, chi in orbit]
 
 
 def _primes_above_p(p, k):
@@ -115,7 +139,7 @@ def test_one_valuation_per_prime_above_p(monkeypatch, f_max, ps):
         for p in ps:
             calls.clear()
             ladders.clear()
-            scans._orbit_verdicts(orbit, [p], N_START)
+            scans._orbit_verdicts([orbit], [p], N_START)
             assert len(calls) == _primes_above_p(p, k), (orbit[0][1], p)
             want = [(z, p, N_START) for z, _p, v in calls if z.den % p == 0 or v != 0]
             assert ladders == want, (orbit[0][1], p)

@@ -24,6 +24,7 @@ from lzero import (
 from lzero.bernoulli import _b1_sum
 from lzero.characters import (
     _dlog_table,
+    _galois_orbits,
     _minus_one_exponents,
     _units,
     _value_exponents,
@@ -57,8 +58,7 @@ def _reference_b1_sum(chi):
     return CycloElt.from_exponent_sums(k, buckets, f)
 
 
-def _reference_galois_orbits(f_max):
-    chars = primitive_odd_characters(f_max)
+def _reference_galois_orbits(chars):
     left = {chi.key(): chi for chi in chars}
     orbits = []
     for chi in chars:
@@ -98,4 +98,15 @@ def test_b1_sum_matches_eval_exponent_at_large_conductors(modulus, exponents):
 
 def test_galois_orbits_match_pow_char_keys():
     for f_max in range(1, 151):
-        assert galois_orbits(f_max) == _reference_galois_orbits(f_max), f_max
+        want = _reference_galois_orbits(primitive_odd_characters(f_max))
+        assert galois_orbits(f_max) == want, f_max
+    # the odd characters mod p: one orbit per odd divisor d of p - 1, first
+    # member (d,), as minus_class_number and the star check read them
+    for p in (3, 7, 31, 37, 41, 61, 107):
+        chars = enumerate_characters(p, parity="odd")
+        orbits = _galois_orbits(chars)
+        assert orbits == _reference_galois_orbits(chars), p
+        members = sorted(chi.key() for orbit in orbits for _, chi in orbit)
+        assert members == sorted(chi.key() for chi in chars), p
+        assert [orbit[0][1].exponents for orbit in orbits] == [
+            (d,) for d in range(1, p, 2) if (p - 1) % d == 0], p
