@@ -20,14 +20,19 @@ irreducible factor as x^d - (b_{d-1} x^{d-1} + ... + b_0) with 0 <= b_i < p
 and take the factor with the lexicographically least (b_0, ..., b_{d-1}).
 For split k' this picks the smallest root; e.g. for p = 5, k' = 4 the roots
 of x^2 + 1 are {2, 3} and the rule sends zeta_4 to 2.  Any fixed rule would
-do, but verdicts for individual characters depend on this one.  The factors
-come from a deterministic Berlekamp split by Gauss periods
-T_j = sum_{i<d} x^(j p^i mod k'), d = ord_{k'}(p): each T_j takes one value
-in F_p on every irreducible factor, and the roots of its minimal polynomial
-mod a piece split that piece by gcds.  Its powers are taken with
-_kernels.mulmod, as are those of the Hensel lift; the factor chosen does
-not depend on the method.  The lift is Newton's method for the monic
-divisor of x^(k') - 1 that reduces to the chosen factor.
+do, but verdicts for individual characters depend on this one.  The first
+key is read off norms: b_0 = (-1)^(d+1) N(zeta), d = ord_{k'}(p), and
+the norm of a root of Phi_{k'} is the monomial zeta^e, e = 1 + p + ... +
+p^(d-1) mod k'.  So the factors with the least b_0 are one gcd of
+Phi_{k'} with the binomial x^e - v mod p, and only when several tie are
+they split, by a deterministic Berlekamp split by Gauss periods
+T_j = sum_{i<d} x^(j p^i mod k'): each T_j takes one value in F_p on
+every irreducible factor, and the roots of its minimal polynomial mod a
+piece split that piece by gcds.  The factor chosen does not depend on the
+method.  The lift is Newton's method for the monic divisor of x^(k') - 1
+that reduces to the chosen factor: each step is one remainder of
+x^(k') - 1 at the new precision and a correction formed at half of it
+(_hensel_lift).
 
 The image of zeta_k is normalised by CRT: zeta_k^(k') = 1 + pi and
 zeta_k^(p^a) = x.  This makes the place restrict to the place of the tame
@@ -59,7 +64,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -67,7 +72,9 @@ from lzero._kernels import mulmod, reduce_mod, tower_mul
 from lzero.characters import DirichletChar, unit_group_basis, _char_data
 from lzero.cyclo import CycloElt, _reduce, cyclotomic_poly
 from lzero.errors import PrecisionExhausted, TheoremViolation
-from lzero.nt import euler_phi, factorize, is_prime, multiplicative_order, valuation
+from lzero.nt import (
+    euler_phi, factorize, is_prime, multiplicative_order, smallest_primitive_root, valuation,
+)
 
 N_START = 16
 N_CAP = 512
@@ -151,20 +158,27 @@ def _min_poly(t: list[int], h: list[int], p: int) -> list[int]:
 
 def _split_by_period(h: list[int], period: list[int], p: int) -> list[list[int]]:
     """h | Phi_{k1} mod p as the gcd(h, t - c), t = period mod h, over the
-    roots c in F_p of t's minimal polynomial, found by Horner's rule."""
+    roots c in F_p of t's minimal polynomial mu, found by Horner's rule in
+    increasing order but for the last, which is -mu_{r-1} minus the sum of
+    the others (Vieta, r = deg mu)."""
     t = reduce_mod(list(period), h, p)
     mu = _min_poly(t, h, p)
     if len(mu) == 2:  # t is constant mod h
         return [h]
-    pieces = []
+    roots = []
     for c in range(p):
         acc = 0
         for a in reversed(mu):
             acc = (acc * c + a) % p
         if not acc:
-            pieces.append(_pm_gcd(h, [t[0] - c, *t[1:]], p))
-            if len(pieces) == len(mu) - 1:
+            roots.append(c)
+            if len(roots) == len(mu) - 2:
+                # the last root is the largest: -mu_{r-1} minus the others
+                last = (-mu[-2] - sum(roots)) % p
+                if last > c:
+                    roots.append(last)
                 break
+    pieces = [_pm_gcd(h, [t[0] - c, *t[1:]], p) for c in roots]
     if sum(len(g) - 1 for g in pieces) != len(h) - 1:
         raise TheoremViolation(f"a Gauss period mod {p} is not in the Berlekamp algebra")
     return pieces
@@ -177,15 +191,34 @@ def residue_factor(p: int, k1: int) -> tuple[int, ...]:
     Selection: minimize (b_0, ..., b_{d-1}) where the factor is written as
     x^d - sum b_i x^i with least nonnegative b_i.
 
-    The Gauss periods T_1, T_2, ... span the Berlekamp algebra, so splitting
-    every piece by each in turn reaches the factors, all of degree
-    d = ord_{k1}(p), before j reaches k1.
+    The first key is read off norms.  The factor through a root zeta has
+    b_0 = (-1)^(d+1) N(zeta), d = ord_{k1}(p), and N(zeta) =
+    zeta^((p^d - 1)/(p - 1)) = zeta^e, e = 1 + p + ... + p^(d-1) mod k1,
+    because zeta^k1 = 1.  The norms are exactly the elements of order
+    o = k1 / gcd(k1, e) of F_p^*, so the least b_0 is the least w whose
+    v = (-1)^(d+1) w has order o, and h = gcd(Phi_{k1}, x^e - v) mod p is
+    the product of the factors with that b_0 (h = Phi_{k1} if e = 0, where
+    every norm is 1).  Only an h of degree above d is split: the Gauss
+    periods T_1, T_2, ... span the Berlekamp algebra, so splitting every
+    piece by each in turn reaches the factors, all of degree d, before j
+    reaches k1.
 
     >>> residue_factor(5, 4)
     (3, 1)
     """
     d = multiplicative_order(p, k1) if k1 > 1 else 1
-    pieces = [_pm_trim([c % p for c in cyclotomic_poly(k1)])]
+    phi = _pm_trim([c % p for c in cyclotomic_poly(k1)])
+    if len(phi) - 1 == d:
+        return tuple(phi)
+    e = sum(pow(p, i, k1) for i in range(d)) % k1
+    o = k1 // gcd(k1, e)
+    if (p - 1) % o:
+        raise TheoremViolation(f"F_{p}^* has no element of order {o} to be a norm mod Phi_{k1}")
+    # y has order o, and its powers y^i, i prime to o, are the norms
+    y = pow(smallest_primitive_root(p), (p - 1) // o, p)
+    sign = 1 if d % 2 else -1  # b_0 = sign N
+    v = sign * min(sign * pow(y, i, p) % p for i in range(1, o + 1) if gcd(i, o) == 1)
+    pieces = [phi if e == 0 else _pm_gcd(phi, [-v, *[0] * (e - 1), 1], p)]
     j = 0
     while any(len(h) - 1 != d for h in pieces):
         j += 1
@@ -220,10 +253,14 @@ def _hensel_lift(k1: int, g_bar: tuple[int, ...], p: int, N: int) -> list[int]:
     because theta^k1 = 1 mod (G, p^n).  Each error term is O(p^n) O(p^n),
     so it vanishes mod p^(2n).  p does not divide k1, so X is squarefree
     mod p: its monic divisor lifting g_bar is unique, it does not depend on
-    the route taken to p^N, and it is the one that divides Phi_{k1}.  Each
-    step checks r = 0 mod p^n; the end checks Phi_{k1} = 0 mod (G, p^N),
-    which rejects a divisor of X that does not divide Phi_{k1}.  For
-    deg G = 1, theta is the scalar -G[0].
+    the route taken to p^N, and it is the one that divides Phi_{k1}.
+
+    Each step takes r as one remainder of x^k1 - 1 by G mod m and checks
+    r = 0 mod p^n.  So r = p^n s, and the correction p^n (s w mod (G, p^n)),
+    w = x G' / k1 mod (G, p^n), is formed at half precision.  For deg G = 1,
+    G = x - a, the step is the scalar a <- a - a (a^k1 - 1) / k1 (pow).  The
+    end checks Phi_{k1} = 0 mod (G, p^N), which rejects a divisor of X that
+    does not divide Phi_{k1}.
 
     >>> _hensel_lift(4, (3, 1), 5, 2)
     [18, 1]
@@ -240,19 +277,20 @@ def _hensel_lift(k1: int, g_bar: tuple[int, ...], p: int, N: int) -> list[int]:
     inv_k1 = pow(k1, -1, pN)
     for n, nxt in zip(steps, steps[1:]):
         m, prev = p**nxt, p**n
-        theta = [0, 1] if len(G) > 2 else [-G[0] % m]
-        power = theta
-        for bit in bin(k1)[3:]:
-            power = mulmod(power, power, G, m)
-            if bit == "1":
-                power = mulmod(power, theta, G, m)
-        r = [power[0] - 1, *power[1:]]
+        if len(G) == 2:
+            a = -G[0]
+            r = pow(a, k1, m) - 1
+            if r % prev:
+                raise TheoremViolation("Newton step: x^k' - 1 must vanish mod (G, p^n)")
+            G[0] = (G[0] + a * r * inv_k1) % m
+            continue
+        r = reduce_mod([-1, *[0] * (k1 - 1), 1], G, m)
         if any(c % prev for c in r):
             raise TheoremViolation("Newton step: x^k' - 1 must vanish mod (G, p^n)")
-        dG = [i * c * inv_k1 % m for i, c in enumerate(G) if i]
-        delta = mulmod(r, mulmod(dG, theta, G, m), G, m)
+        w = reduce_mod([i * c * inv_k1 for i, c in enumerate(G)], G, prev)
+        delta = mulmod([c // prev for c in r], w, G, prev)
         for i, c in enumerate(delta):
-            G[i] = (G[i] + c) % m
+            G[i] = (G[i] + prev * c) % m
     if any(reduce_mod(list(F), G, pN)):
         raise TheoremViolation("Hensel lift: the lift must divide Phi_k' mod p^N")
     return G

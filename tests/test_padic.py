@@ -26,8 +26,8 @@ from lzero import (
     teichmuller,
 )
 from lzero import padic
-from lzero.cyclo import cyclotomic_poly
-from lzero._kernels import mulmod
+from lzero.cyclo import _reduce, cyclotomic_poly
+from lzero._kernels import reduce_mod
 from lzero.padic import (
     PadicElt,
     _eisenstein_poly,
@@ -164,6 +164,60 @@ def test_split_with_a_wrong_degree_raises(monkeypatch):
     monkeypatch.setattr(padic, "multiplicative_order", lambda a, n: 1)
     with pytest.raises(TheoremViolation):
         residue_factor.__wrapped__(5, 3)
+
+
+def _split_everything(p, k1):
+    """The selection made by splitting Phi_{k1} mod p into all its factors
+    by Gauss periods, then taking the least by the rule: no norm key."""
+    d = multiplicative_order(p, k1) if k1 > 1 else 1
+    pieces = [_trim([c % p for c in cyclotomic_poly(k1)])]
+    j = 0
+    while any(len(h) - 1 != d for h in pieces):
+        j += 1
+        period = _trim([c % p for c in _reduce(k1, _gauss_period(j, p, k1, d))])
+        pieces = [g for h in pieces
+                  for g in ([h] if len(h) - 1 == d else padic._split_by_period(h, period, p))]
+    return tuple(min(pieces, key=lambda g: tuple((-c) % p for c in g[:-1])))
+
+
+def _least_primitive_root(p):
+    return next(r for r in range(2, p)
+                if all(pow(r, (p - 1) // q, p) != 1 for q in sympy.primefactors(p - 1)))
+
+
+def test_norm_key_chooses_without_a_split(monkeypatch):
+    # a unique least b_0 = (-1)^(d+1) N(theta^u) needs one gcd, no split
+    expected = {(97, 15): _split_everything(97, 15)}
+    for p in (2459, 4079):  # d = 1: x - g, g the least root of Phi_{p-1}
+        expected[p, p - 1] = ((p - _least_primitive_root(p)) % p, 1)
+
+    def no_split(*args):
+        raise AssertionError("split")
+
+    monkeypatch.setattr(padic, "_split_by_period", no_split)
+    for (p, k1), factor in expected.items():
+        assert residue_factor.__wrapped__(p, k1) == factor, (p, k1)
+
+
+def test_norm_key_splits_tied_factors(monkeypatch):
+    # p = 7, k' = 8: d = 2 and 1 + 7 = 0 mod 8, so every norm is 1 and both
+    # factors x^2 + 3x + 1 and x^2 + 4x + 1 of x^4 + 1 tie on b_0 = 6
+    calls = []
+    split = padic._split_by_period
+
+    def counting_split(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(padic, "_split_by_period", counting_split)
+    assert residue_factor.__wrapped__(7, 8) == (1, 4, 1)
+    assert calls
+
+
+def test_norm_key_matches_split_everything():
+    pairs = [(p, k1) for p in sympy.primerange(3, 200) for k1 in range(1, 130) if k1 % p]
+    for p, k1 in pairs[::10]:
+        assert residue_factor.__wrapped__(p, k1) == _split_everything(p, k1), (p, k1)
 
 
 def _gcd_by_sympy(a, b, p):
@@ -400,16 +454,28 @@ def test_newton_lift_matches_linear_reference(p):
     assert [k1 for k1 in degenerate if k1 > 1]
 
 
+@pytest.mark.parametrize("N", [1, 2, 16])
+def test_newton_lift_matches_linear_reference_at_a_large_k1(N):
+    # degree 1, where each step is a scalar pow, with a long Phi_{k'}
+    p, k1 = 2459, 2458
+    phi = cyclotomic_poly(k1)
+    g = residue_factor(p, k1)
+    assert len(g) == 2
+    assert _hensel_lift(k1, g, p, N) == _linear_hensel_reference(phi, g, p, N)
+
+
 @pytest.mark.parametrize("N", HENSEL_PRECISIONS)
 def test_newton_lift_doubles_precision_per_step(N, monkeypatch):
     moduli = set()
-
-    def recording_mulmod(a, b, G, m):
-        moduli.add(m)
-        return mulmod(a, b, G, m)
-
-    monkeypatch.setattr(padic, "mulmod", recording_mulmod)
     p, k1 = 7, 43  # a degree-6 factor of Phi_43 mod 7
+    x_k1_minus_1 = [-1, *[0] * (k1 - 1), 1]
+
+    def recording_reduce_mod(rem, monic, m):
+        if rem == x_k1_minus_1:
+            moduli.add(m)
+        return reduce_mod(rem, monic, m)
+
+    monkeypatch.setattr(padic, "reduce_mod", recording_reduce_mod)
     _hensel_lift(k1, residue_factor(p, k1), p, N)
     lifted = sorted(valuation(m, p) for m in moduli if m > p)
     assert len(lifted) == (N - 1).bit_length()  # ceil(log2 N) steps
