@@ -1,7 +1,5 @@
-"""python -m lzero delegates to the CLI."""
+"""python -m lzero delegates to the CLI's process entry point."""
 
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

@@ -119,9 +119,10 @@ def orbit_l_values(orbit: list[tuple[int, DirichletChar]]) -> Iterator[LValueRec
 
     B_{1,chi^j} = sigma_j(B_{1,chi}), where sigma_j sends zeta_k to zeta_k^j:
     the bucket sum is taken at most once per orbit, for chi, and a member
-    the cache does not hold is that value's conjugate, checked and cached
-    like a computed one.  The records are yielded, not listed: an orbit of
-    p = 2459 holds 1228 values of 1228 coordinates each.
+    the cache does not hold is that value's conjugate, checked like a
+    computed one and appended to the cache's file, but not held in its
+    memory.  The records are yielded, not listed: an orbit of p = 2459
+    holds 1228 values of 1228 coordinates each.
     """
     if orbit[0][0] != 1:
         raise ValueError("an orbit's first member must be (1, chi)")
@@ -136,7 +137,7 @@ def _orbit_l_values(orbit: list[tuple[int, DirichletChar]]) -> Iterator[LValueRe
         if b1 is None:
             b1 = _b1_sum(chi) if base is None else base.galois_conj(j)
             _check_vanishing(chi, b1)
-            cache.put(chi.modulus, chi.exponents, b1)
+            cache.put(chi.modulus, chi.exponents, b1, keep=base is None)
         if base is None:
             base = b1
         yield LValueRecord(chi, b1, -b1)

@@ -17,10 +17,16 @@ demand and appended again.  The checksum guards against damage, not
 forgery; the cache directory is trusted.  (CRC-32, not a hash from hashlib: zlib is
 loaded anyway, while hashlib maps OpenSSL, 3.5 MB of resident memory.)
 
-Appends are idempotent: re-adding a known key writes nothing, and duplicate
-lines (e.g. from parallel workers) are harmless because every writer
-computes the same exact value.  Each process appends through one handle of
-its own, one write per line.
+Memory holds the values loaded from the file and those ``put`` with
+``keep`` (the bucket sums).  A value ``put`` without it, the conjugate
+sigma_j(B_{1,chi}) of an orbit's first member, goes to the file only: it
+is one ``galois_conj`` of a held value away, and an orbit of p = 2459
+holds 1228 values of 1228 coordinates each.
+
+Appends are idempotent: a key this process loaded or appended is not
+written again, and duplicate lines (e.g. from parallel workers) are
+harmless because every writer computes the same exact value.  Each process
+appends through one handle of its own, one write per line.
 
 A load that finds rejects or duplicate keys compacts the file before any
 append: the first good line of each key, in file order, goes to a temporary
@@ -52,6 +58,7 @@ _TAIL_LEN = len(_tail("{}"))
 class B1Cache:
     def __init__(self, directory: str | None = None):
         self._mem: dict[tuple[int, tuple[int, ...]], CycloElt] = {}
+        self._spilled: set[tuple[int, tuple[int, ...]]] = set()  # appended, not held
         self._path: str | None = None
         self._midline = False
         self._out = None  # append handle, opened by the process in _out_pid
@@ -100,12 +107,19 @@ class B1Cache:
     def get(self, f: int, chi: tuple[int, ...]) -> CycloElt | None:
         return self._mem.get((f, chi))
 
-    def put(self, f: int, chi: tuple[int, ...], b1: CycloElt) -> None:
+    def put(self, f: int, chi: tuple[int, ...], b1: CycloElt, keep: bool = True) -> None:
+        """Append b1 as the value of (f, chi) to the file, if one is bound,
+        and with keep hold it in memory too."""
         key = (f, chi)
         if key in self._mem:
             return
-        self._mem[key] = b1
-        if self._path:
+        appended = key in self._spilled
+        if keep:
+            self._mem[key] = b1
+            self._spilled.discard(key)
+        elif self._path:
+            self._spilled.add(key)
+        if self._path and not appended:
             rec = {"chi": list(chi), "den": b1.den, "f": f, "format": _FORMAT,
                    "k": b1.order, "nums": list(b1.nums)}
             canonical = json.dumps(rec, sort_keys=True, separators=(",", ":"))

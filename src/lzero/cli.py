@@ -10,10 +10,15 @@ and nothing timestamped enters the body.
 The envelope is written while it is walked (``_JsonWriter``).  Its bytes are
 those of ``json.dumps(envelope, sort_keys=True, indent=2)``, but records,
 immutable named tuples, are read in place and go to standard output one at
-a time, so the document is never held whole.  A ``VerdictRecord``, prop1's
-record, has one dedicated renderer, a fixed template of its sorted keys;
-every other type goes through the generic walk.  Each tower is rendered
-once and its text reused for every record that carries it.
+a time, so the document is never held whole.  The two records written by
+the thousand, prop1's ``VerdictRecord`` and deligne-ribet's ``BoundRecord``,
+each have a dedicated renderer, a fixed template of its sorted keys; every
+other type goes through the generic walk.  Each tower is rendered once and
+its text reused for every record that carries it.
+
+A process started as ``python -m lzero`` or through the ``lzero`` script
+runs ``run()``: ``main()``, then a flush of stdout and stderr and
+``os._exit``, which skips the interpreter's teardown (see ``run``).
 
 Exit codes: 0 all checks passed; 1 a proved statement failed to verify
 (which would mean a bug) or, under ``--strict``, a conjecture-level anomaly
@@ -31,6 +36,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import repeat
+from typing import NoReturn
 
 from . import __version__
 from .bernoulli import irregular_pairs, l_value_at_zero, minus_class_number, set_cache_dir
@@ -47,6 +53,7 @@ from .errors import (
 from .nt import is_prime
 from .padic import N_CAP, N_START, PadicTower
 from .scans import (
+    BoundRecord,
     VerdictRecord,
     _odd_product_identity,
     _pole_depths,
@@ -110,6 +117,8 @@ _SCALAR_TEXT = {
 # the keys of a VerdictRecord in the order its text lists them
 _VERDICT_KEYS = ("classification_consistent", "exponents", "global_integral", "modulus",
                  "notes", "omega_inverse", "p", "question2_zero", "tower", "valuation")
+# the keys of a BoundRecord in the order its text lists them
+_BOUND_KEYS = ("exponents", "integral", "modulus", "w")
 
 
 def _scalar_text(obj) -> str | None:
@@ -123,10 +132,12 @@ class _JsonWriter:
     """JSON text of records, as ``json.dumps(value, sort_keys=True, indent=2)``
     writes it, or with ``compact`` as ``separators=(",", ":")`` writes it.
 
-    A ``scans.VerdictRecord``, of which prop1 writes thousands, has one
-    dedicated renderer (``_verdict_text``): a fixed template of its sorted
-    keys, joined with the record's values, and the text of each distinct
-    exponent tuple kept and reused.  Every other value goes through the
+    Two records have dedicated renderers, each a fixed template of its
+    sorted keys joined with the record's values: ``scans.VerdictRecord``,
+    of which prop1 writes thousands (``_verdict_text``, which keeps and
+    reuses the text of each distinct exponent tuple), and
+    ``scans.BoundRecord``, of which deligne-ribet writes thousands
+    (``_bound_text``).  Every other value goes through the
     generic walk, which reads it where it stands: a named tuple as an object
     of its ``_fields``, dict keys as ``str(key)``, other tuples as lists and
     a Fraction as its "a/b" string; any other type raises TypeError.  A
@@ -143,7 +154,8 @@ class _JsonWriter:
         self._root = "" if compact else "\n"  # line break of the root
         self._fields = {}  # named tuple type -> (field indices, their rendered keys), by name
         self._towers = {}  # (p, k, precision) -> {line break + indentation: text}
-        self._verdicts = {}  # line break + indentation -> _verdict_layout(...)
+        self._verdicts = {}  # line break + indentation -> (*_layout(...), exponents -> text)
+        self._bounds = {}  # line break + indentation -> _layout(_BOUND_KEYS, ...)
 
     def dumps(self, obj) -> str:
         return self._text(obj, self._root)
@@ -170,8 +182,11 @@ class _JsonWriter:
         write(nl + closing)
 
     def _text(self, obj, nl) -> str:
-        if type(obj) is VerdictRecord:  # prop1 writes thousands: skip the walk's list
+        # prop1 and deligne-ribet write thousands of these: skip the walk's list
+        if type(obj) is VerdictRecord:
             return self._verdict_text(obj, nl)
+        if type(obj) is BoundRecord:
+            return self._bound_text(obj, nl)
         out = []
         self._walk(obj, nl, out)
         return "".join(out)
@@ -182,6 +197,8 @@ class _JsonWriter:
             out.append(render(obj))
         elif type(obj) is VerdictRecord:
             out.append(self._verdict_text(obj, nl))
+        elif type(obj) is BoundRecord:
+            out.append(self._bound_text(obj, nl))
         elif type(obj) is PadicTower:
             out.append(self._tower_text(obj, nl))
         else:
@@ -220,7 +237,7 @@ class _JsonWriter:
          consistent, question2_zero, notes) = record
         layout = self._verdicts.get(nl)
         if layout is None:
-            layout = self._verdicts[nl] = self._verdict_layout(nl)
+            layout = self._verdicts[nl] = (*self._layout(_VERDICT_KEYS, nl), {})
         heads, inner, lists = layout
         if type(tower) is not PadicTower or type(valuation) is not Fraction:
             raise TypeError(f"cannot serialize a VerdictRecord with a {type(tower).__name__} "
@@ -244,14 +261,40 @@ class _JsonWriter:
         except KeyError as exc:
             raise TypeError(f"cannot serialize {exc.args[0]!r} as a flag") from None
 
-    def _verdict_layout(self, nl):
-        """(the text before each value, the indentation of the fields, and
-        exponents -> text) of a VerdictRecord at line break and indentation
-        nl."""
+    def _bound_text(self, record, nl) -> str:
+        """The text of a BoundRecord whose fields have the types that
+        scans.deligne_ribet_check gives them.  A modulus, w or exponent that
+        is not an int (a bool included), exponents that are not a tuple, or
+        an integral that is not a bool, raises TypeError."""
+        modulus, exponents, w, integral = record
+        layout = self._bounds.get(nl)
+        if layout is None:
+            layout = self._bounds[nl] = self._layout(_BOUND_KEYS, nl)
+        heads, inner = layout
+        if (type(modulus) is not int or type(w) is not int or type(integral) is not bool
+                or type(exponents) is not tuple or any(type(e) is not int for e in exponents)):
+            raise TypeError(f"cannot serialize a BoundRecord with fields of types "
+                            f"{', '.join(type(v).__name__ for v in record)}")
+        if exponents:
+            item = inner + self._step
+            exponents_text = ("[" + item + ("," + item).join(map(int.__repr__, exponents))
+                              + inner + "]")
+        else:
+            exponents_text = "[]"
+        return "".join((
+            heads[0], exponents_text,
+            heads[1], _LITERAL[integral],
+            heads[2], int.__repr__(modulus),
+            heads[3], int.__repr__(w), nl, "}",
+        ))
+
+    def _layout(self, keys, nl):
+        """(the text before each value, the indentation of the fields) of a
+        record whose text lists keys, at line break and indentation nl."""
         inner = nl + self._step
         heads = tuple(("," if i else "{") + inner + _ESCAPE(key) + self._colon
-                      for i, key in enumerate(_VERDICT_KEYS))
-        return heads, inner, {}
+                      for i, key in enumerate(keys))
+        return heads, inner
 
     def _walk_container(self, container, nl, out):
         opening, closing, keys, values = container
@@ -714,5 +757,25 @@ def _report(envelope: dict, fmt: str, command: str) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The process entry point (``python -m lzero``, the ``lzero`` script):
+    main(), a flush of stdout and stderr, then os._exit with main's code.
+
+    os._exit skips the interpreter's teardown, about 8 ms of CPU per run
+    once the report is written, and nothing here needs it: the B1 cache
+    appends through an unbuffered handle, one write per line, and closes
+    its compaction files in with blocks; prop1 --jobs N leaves its Pool's
+    with block, which terminates and joins the workers, before main
+    returns; and lzero registers no atexit handler and starts no thread.
+    An exception, argparse's SystemExit (--help, --version, a usage error)
+    included, propagates and ends the process as usual.  In-process
+    callers call main() and keep their interpreter.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code or 0)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,9 +14,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lzero import (
+    BoundRecord,
     ClassificationViolation,
     DirichletChar,
     PadicTower,
@@ -24,6 +25,8 @@ from lzero import (
     __version__,
     build_tower,
     cyclo_valuation,
+    deligne_ribet_check,
+    galois_orbits,
     integrality_verdict,
     l_value_at_zero,
 )
@@ -501,6 +504,61 @@ def test_verdict_renderer_rejects_other_field_types(field, value):
             writer.dump({"records": [record]}, lambda text: None)
 
 
+_BOUNDS = st.builds(
+    BoundRecord,
+    modulus=st.integers(1, 10**6) | st.integers(10**6, 10**200),
+    exponents=st.lists(st.integers(0, 10**4) | st.integers(-10**30, 10**30),
+                       max_size=3).map(tuple),
+    w=st.integers(2, 10**6) | st.integers(10**6, 10**200),
+    integral=st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BOUNDS, st.lists(_BOUNDS, max_size=3))
+@example(BoundRecord(10**120, (), 10**90, False), [BoundRecord(5, (), 2, True)])
+def test_bound_renderer_matches_json_dumps(record, records):
+    # the record at the root, then one and two levels down in one document
+    for obj in (record, {"records": records, "first": record, "nested": [[record]]}):
+        ref = _ref(obj)
+        for writer, kwargs in ((_JsonWriter(), {"indent": 2}),
+                               (_JsonWriter(compact=True), {"separators": (",", ":")})):
+            parts = []
+            writer.dump(obj, parts.append)
+            assert "".join(parts) == json.dumps(ref, sort_keys=True, **kwargs) + "\n"
+            assert writer.dumps(obj) == json.dumps(ref, sort_keys=True, **kwargs)
+
+
+def test_bound_renderer_writes_every_field_in_sorted_order():
+    record = deligne_ribet_check(DirichletChar(7, (1,)))
+    for writer in (_JsonWriter(), _JsonWriter(compact=True)):
+        assert list(json.loads(writer.dumps(record))) == sorted(BoundRecord._fields)
+    assert cli._BOUND_KEYS == tuple(sorted(BoundRecord._fields))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("w", "2"),
+    ("modulus", True),
+    ("integral", 1),
+    ("integral", None),
+    ("exponents", (1.5,)),
+    ("exponents", (True,)),
+    ("exponents", [1]),
+])
+def test_bound_renderer_rejects_other_field_types(field, value, monkeypatch, capsys):
+    record = deligne_ribet_check(DirichletChar(7, (1,)))._replace(**{field: value})
+    for writer in (_JsonWriter(), _JsonWriter(compact=True)):
+        with pytest.raises(TypeError):
+            writer.dumps(record)
+        with pytest.raises(TypeError):
+            writer.dump({"records": [record]}, lambda text: None)
+    # a bad record is a render failure, not a violation
+    monkeypatch.setattr(cli, "deligne_ribet_scan", lambda f_max: [record])
+    code, _, err = run_cli(["deligne-ribet", "--fmax", "7"], capsys)
+    assert code == cli.EXIT_RENDER_FAILED
+    assert err.startswith("lzero deligne-ribet: cannot render the report: ")
+
+
 def _csv_reference(records) -> str:
     """The CSV projection as csv plus compact json.dumps write it."""
     records = _ref(records)
@@ -651,6 +709,56 @@ def test_module_entry_point():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["records"][0]["p"] == 37
+
+
+def test_module_entry_point_writes_what_main_writes(tmp_path, capsys):
+    # python -m lzero ends with os._exit once the report is flushed: stdout
+    # and the cache file it appended to must be whole
+    argv = ["deligne-ribet", "--fmax", "12"]
+    out = subprocess.run(
+        [sys.executable, "-m", "lzero", *argv, "--cache-dir", str(tmp_path / "proc")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    try:
+        code, want, _ = run_cli([*argv, "--cache-dir", str(tmp_path / "main")], capsys)
+    finally:
+        set_cache_dir(None)
+    assert code == 0
+    assert out.stdout == want
+    lines = (tmp_path / "main" / "b1chi.jsonl").read_text()
+    assert lines.count("\n") == len(galois_orbits(12))
+    assert (tmp_path / "proc" / "b1chi.jsonl").read_text() == lines
+
+
+def test_module_entry_point_exits_2_on_input_errors():
+    out = subprocess.run(
+        [sys.executable, "-m", "lzero", "lvalue", "-f", "9", "--chi", "9"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "lzero lvalue: exponent out of range for generator order\n"
+
+
+def test_module_entry_point_version_exits_through_argparse():
+    out = subprocess.run([sys.executable, "-m", "lzero", "--version"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout == f"lzero {__version__}\n"
+
+
+def test_prop1_jobs_leaves_no_worker_or_thread(capsys):
+    # what run()'s os._exit relies on: once main returns, no process or
+    # thread is left that a normal interpreter exit would wait for
+    import multiprocessing
+    import threading
+
+    code, out, _ = run_cli(["prop1", "--fmax", "20", "--pmax", "11", "--jobs", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():

@@ -13,6 +13,7 @@ each record holds the tower it was judged in, and that a tower's table is
 built only where a value fell through to the precision ladder.
 """
 
+import json
 import multiprocessing
 from fractions import Fraction
 from math import gcd
@@ -226,15 +227,34 @@ def test_orbit_l_values_sum_once_per_orbit(monkeypatch, fresh_cache):
     monkeypatch.setattr(bernoulli, "_b1_sum", counting_sum)
     got = {rec.chi.key(): rec for orbit in orbits for rec in orbit_l_values(orbit)}
     assert sums == [orbit[0][1].key() for orbit in orbits]
-    held = dict(fresh_cache._mem)
-    # per character, into an empty cache: the same values and the same entries
+    # memory holds the summed first members only, not their conjugates
+    assert fresh_cache._mem.keys() == set(sums)
+    # per character, into an empty cache: the same values
     set_cache_dir(None)
     monkeypatch.setattr(bernoulli, "_b1_sum", b1_sum)
     for orbit in orbits:
         for _, chi in orbit:
             rec = l_value_at_zero(chi)
             assert (rec.b1chi, rec.l_at_zero) == (got[chi.key()].b1chi, got[chi.key()].l_at_zero)
-    assert b1_cache()._mem.keys() == held.keys()
+
+
+def test_orbit_l_values_write_each_member_once(monkeypatch, tmp_path):
+    # with a directory bound, a walk writes one line per member, conjugates
+    # included; a second walk in the same process sums and writes nothing
+    orbits = galois_orbits(45)
+    path = tmp_path / "b1chi.jsonl"
+    try:
+        set_cache_dir(str(tmp_path))
+        first = [rec.b1chi for orbit in orbits for rec in orbit_l_values(orbit)]
+        lines = path.read_text().splitlines()
+        members = [chi.key() for orbit in orbits for _, chi in orbit]
+        written = [(rec["f"], tuple(rec["chi"])) for rec in map(json.loads, lines)]
+        assert written == members
+        monkeypatch.setattr(bernoulli, "_b1_sum", lambda chi: pytest.fail(f"summed {chi}"))
+        assert [rec.b1chi for orbit in orbits for rec in orbit_l_values(orbit)] == first
+        assert path.read_text().splitlines() == lines
+    finally:
+        set_cache_dir(None)
 
 
 def test_orbit_l_values_reads_the_cache_first(monkeypatch, fresh_cache):
