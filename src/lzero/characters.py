@@ -10,6 +10,15 @@ generator system is canonical so that the encoding is reproducible:
 * component generators are CRT-lifted to be 1 in the other components and
   listed by increasing prime.
 
+Prime-power tables.  A character mod f is the product of its components on
+the (Z/q^a)^*, q^a || f, and its conductor, parity and order are the
+product, the sum mod 2 and the lcm of theirs.  So each prime power has one
+table, built once per process (_prime_power_table), of every character of
+(Z/q^a)^*: its conductor, parity and order.  A modulus reads its prime
+powers, its generator orders and their tables off _components(f), and
+enumerate_characters, conductor and _galois_orbits work from those, with no
+factorization per character.
+
 Product order.  The units of Z/f are listed once, in a fixed order that
 this module alone defines: the order of itertools.product over the
 exponent ranges range(o_1), ..., range(o_r), the last generator's exponent
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections.abc import Iterator
 from math import gcd, lcm
 from typing import NamedTuple
@@ -52,6 +62,107 @@ def _component_generators(q: int, a: int) -> list[tuple[int, int]]:
     return [(g, (q - 1) * q ** (a - 1))]
 
 
+def _component_conductor(q: int, a: int, exps: tuple[int, ...]) -> int:
+    """Conductor of the character of (Z/q^a)^* with exponents exps on the
+    generators of _component_generators(q, a)."""
+    if q == 2:
+        if a <= 2:  # the only generator, if any, is -1
+            return 4 if any(exps) else 1
+        e_minus, e_five = exps
+        o_five = 2 ** (a - 2)
+        s = o_five // gcd(o_five, e_five)
+        return 4 * s if s > 1 else 4 if e_minus else 1
+    o = (q - 1) * q ** (a - 1)
+    s = o // gcd(o, exps[0])
+    return q ** (1 + valuation(s, q)) if s > 1 else 1
+
+
+class _PrimePowerTable:
+    """The characters of (Z/q^a)^* on _component_generators(q, a): the
+    generator orders, and in entries each character's (conductor, parity,
+    order), in the product order of its exponent tuples (entry)."""
+
+    __slots__ = ("orders", "entries")
+
+    def __init__(self, orders: tuple[int, ...], entries: list[tuple[int, int, int]]):
+        self.orders = orders
+        self.entries = entries
+
+    def entry(self, exps: tuple[int, ...]) -> tuple[int, int, int]:
+        """The entry of the character with exponents exps: its place in
+        product order is exps read in the mixed radix of the orders."""
+        i = 0
+        for x, o in zip(exps, self.orders):
+            i = i * o + x
+        return self.entries[i]
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_power_table(q: int, a: int) -> _PrimePowerTable:
+    """The table of (Z/q^a)^*, built once per process.
+
+    An entry depends on its exponents e_i only through the gcds
+    g_i = gcd(o_i, e_i): the order is lcm(o_i / g_i), the conductor is read
+    off the orders o_i / g_i (_component_conductor), and the parity is
+    e_1 mod 2 = g_1 mod 2, o_1 being even (-1 is the first generator for 4
+    and 2^a, and its (o_1/2)-th power for q^a, q odd).  So entries sharing
+    their gcds share one value, and _component_conductor is called once per
+    gcd tuple, at e = g.
+
+    >>> _prime_power_table(2, 3).entries
+    [(1, 0, 1), (8, 0, 2), (4, 1, 2), (8, 1, 2)]
+    """
+    orders = tuple(o for _, o in _component_generators(q, a))
+    gcds = [list(map(gcd, itertools.repeat(o, o), range(o))) for o in orders]
+    kinds = {}
+    for g in itertools.product(*map(set, gcds)):
+        e = tuple(map(operator.mod, g, orders))
+        kinds[g] = (_component_conductor(q, a, e), g[0] % 2 if g else 0, _value_order(orders, e))
+    return _PrimePowerTable(orders, list(map(kinds.__getitem__, itertools.product(*gcds))))
+
+
+class _Components:
+    """A modulus's generator orders, and for each prime power q^a || modulus,
+    by increasing q, the parts (q, a, i, j, table): its table and the slice
+    [i, j) of an exponent tuple that lies on (Z/q^a)^*."""
+
+    __slots__ = ("orders", "parts")
+
+    def __init__(self, orders: tuple[int, ...], parts: tuple[tuple, ...]):
+        self.orders = orders
+        self.parts = parts
+
+
+@functools.lru_cache(maxsize=None)
+def _components(modulus: int) -> _Components:
+    """The prime powers of modulus, read once, with their tables.
+
+    >>> _components(24).orders
+    (2, 2, 2)
+    >>> [part[:4] for part in _components(24).parts]
+    [(2, 3, 0, 2), (3, 1, 2, 3)]
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    orders: tuple[int, ...] = ()
+    parts = []
+    for q, a in sorted(factorize(modulus).items()):
+        table = _prime_power_table(q, a)
+        parts.append((q, a, len(orders), len(orders) + len(table.orders), table))
+        orders += table.orders
+    return _Components(orders, tuple(parts))
+
+
+def _component_characters(chi: DirichletChar) -> list[tuple]:
+    """(q, a, exponents, (conductor, parity, order)) of chi's component on
+    each (Z/q^a)^*, q^a || modulus, by increasing q: one table entry each."""
+    out = []
+    for q, a, i, j, table in _components(chi.modulus).parts:
+        exps = chi.exponents[i:j]
+        out.append((q, a, exps, table.entry(exps)))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def unit_group_basis(modulus: int) -> UnitGroupBasis:
     """
@@ -62,10 +173,8 @@ def unit_group_basis(modulus: int) -> UnitGroupBasis:
     >>> unit_group_basis(15).generators
     ((11, 2), (7, 4))
     """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
     gens: list[tuple[int, int]] = []
-    for q, a in sorted(factorize(modulus).items()):
+    for q, a, _i, _j, _table in _components(modulus).parts:
         qa = q**a
         rest = modulus // qa
         for g, order in _component_generators(q, a):
@@ -111,17 +220,17 @@ class DirichletChar(_DirichletCharFields):
     """A character of (Z/modulus)^*, extended by zero off the units.
 
     A named tuple (modulus, exponents); the exponent vector is checked
-    against the canonical basis when the character is built, also by _make
-    and _replace.
+    against the orders of the canonical generators (_components) when the
+    character is built, also by _make and _replace.
     """
 
     __slots__ = ()
 
     def __new__(cls, modulus: int, exponents: tuple[int, ...]):
-        basis = unit_group_basis(modulus)
-        if len(exponents) != len(basis.generators):
+        orders = _components(modulus).orders
+        if len(exponents) != len(orders):
             raise ValueError("exponent vector length does not match the basis")
-        for e, (_, o) in zip(exponents, basis.generators):
+        for e, o in zip(exponents, orders):
             if not 0 <= e < o:
                 raise ValueError("exponent out of range for generator order")
         return tuple.__new__(cls, (modulus, exponents))
@@ -133,23 +242,27 @@ class DirichletChar(_DirichletCharFields):
 
     @property
     def value_order(self) -> int:
-        return _char_data(self.modulus, self.exponents)[0]
+        return _value_order(_components(self.modulus).orders, self.exponents)
 
     def key(self) -> tuple[int, tuple[int, ...]]:
         return (self.modulus, self.exponents)
 
 
+def _value_order(orders: tuple[int, ...], exps: tuple[int, ...]) -> int:
+    """The order of the character with exponents exps on generators of
+    orders: the lcm of the orders o_i / gcd(o_i, e_i) of its values."""
+    return lcm(*map(operator.floordiv, orders, map(gcd, orders, exps)))
+
+
 @functools.lru_cache(maxsize=None)
 def _char_data(modulus: int, exponents: tuple[int, ...]):
     """(value order k, weights w_i) with chi(g_i) = zeta_k^(w_i)."""
-    basis = unit_group_basis(modulus)
-    k = 1
-    for e, (_, o) in zip(exponents, basis.generators):
-        k = lcm(k, o // gcd(o, e))
+    orders = _components(modulus).orders
+    k = _value_order(orders, exponents)
     # chi(g_i) = zeta_{o_i}^{e_i} = zeta_k^(e_i k / o_i); the division is exact
     # because the value's order o_i/gcd(o_i, e_i) divides k.
     weights = []
-    for e, (_, o) in zip(exponents, basis.generators):
+    for e, o in zip(exponents, orders):
         if (e * k) % o:
             raise TheoremViolation("each generator's value order must divide the value order")
         weights.append((e * k) // o % k)
@@ -220,30 +333,12 @@ def is_trivial(chi: DirichletChar) -> bool:
     return chi.value_order == 1
 
 
-def _component_conductor(q: int, a: int, exps: tuple[int, ...]) -> int:
-    """Conductor of the character of (Z/q^a)^* with exponents exps on the
-    generators of _component_generators(q, a)."""
-    if q == 2:
-        if a <= 2:  # the only generator, if any, is -1
-            return 4 if any(exps) else 1
-        e_minus, e_five = exps
-        o_five = 2 ** (a - 2)
-        s = o_five // gcd(o_five, e_five)
-        return 4 * s if s > 1 else 4 if e_minus else 1
-    o = (q - 1) * q ** (a - 1)
-    s = o // gcd(o, exps[0])
-    return q ** (1 + valuation(s, q)) if s > 1 else 1
-
-
-@functools.lru_cache(maxsize=None)
 def conductor(chi: DirichletChar) -> int:
-    """Smallest modulus through which chi factors, component by component."""
+    """Smallest modulus through which chi factors: the product of its
+    components' conductors (_prime_power_table)."""
     cond = 1
-    idx = 0
-    for q, a in sorted(factorize(chi.modulus).items()):
-        n = len(_component_generators(q, a))
-        cond *= _component_conductor(q, a, chi.exponents[idx:idx + n])
-        idx += n
+    for _q, _a, _e, (c, _s, _k) in _component_characters(chi):
+        cond *= c
     return cond
 
 
@@ -307,8 +402,7 @@ def mul_chars(a: DirichletChar, b: DirichletChar) -> DirichletChar:
 
 def _pow_exponents(chi: DirichletChar, n: int) -> tuple[int, ...]:
     """The exponent vector of chi^n."""
-    basis = unit_group_basis(chi.modulus)
-    return tuple([e * n % o for e, (_, o) in zip(chi.exponents, basis.generators)])
+    return tuple([e * n % o for e, o in zip(chi.exponents, _components(chi.modulus).orders)])
 
 
 def pow_char(chi: DirichletChar, n: int) -> DirichletChar:
@@ -324,22 +418,21 @@ def enumerate_characters(
     """
     if parity not in ("all", "odd", "even"):
         raise ValueError("parity must be all, odd or even")
-    # chi is primitive iff each prime-power component is, so the exponent
-    # tuples are filtered component by component; the product of filtered
-    # lexicographic lists is still lexicographic.  chi(-1) = (-1)^s, s the
-    # sum of each component's exponent on its first generator: -1 is that
-    # generator for 4 and 2^a, and its (order/2)-th power for q^a, q odd.
-    components = []
-    for q, a in sorted(factorize(modulus).items()):
-        exps = itertools.product(*(range(o) for _, o in _component_generators(q, a)))
-        components.append([(e, e[0] % 2 if e else 0) for e in exps
-                           if not primitive_only or _component_conductor(q, a, e) == q**a])
+    # chi is primitive iff each prime-power component is, and its parity is
+    # the sum of theirs, so the entries of each component's table are
+    # filtered and multiplied out; the product of lexicographic lists is
+    # still lexicographic.
     want = {"odd": 1, "even": 0}.get(parity)
-    out = []
-    for parts in itertools.product(*components):
-        if want is None or sum(s for _, s in parts) % 2 == want:
-            out.append(DirichletChar(modulus, sum((e for e, _ in parts), ())))
-    return out
+    exps: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for q, a, _i, _j, table in _components(modulus).parts:
+        qa = q**a
+        part = [(e, s) for e, (c, s, _k) in zip(itertools.product(*map(range, table.orders)),
+                                                table.entries)
+                if not primitive_only or c == qa]
+        exps = [(x + e, t ^ s) for x, t in exps for e, s in part]
+        if not exps:
+            return []
+    return [DirichletChar(modulus, x) for x, t in exps if want is None or t == want]
 
 
 def primitive_odd_characters(f_max: int) -> list[DirichletChar]:
@@ -367,15 +460,28 @@ def _galois_orbits(chars: list[DirichletChar]) -> list[list[tuple[int, Dirichlet
     listed as the pairs (j, chi^j) for j = 1, ..., k - 1 prime to k, so its
     first member (j = 1) is chi itself, the first character of the orbit in
     the order of chars.  Conjugates share the modulus, the conductor, the
-    value order and the parity: an odd chi has even k, so j is odd.
+    value order and the parity: an odd chi has even k, so j is odd.  The
+    orbits come one modulus at a time, the moduli in the order they first
+    appear in chars, so a list sorted by modulus keeps its order.
     """
-    # members are the objects in chars, found by the key of chi^j, so each
-    # character is built once
-    left = {chi.key(): chi for chi in chars}
+    # members are the objects in chars, found by the exponents e * j mod o of
+    # chi^j, so each character is built once
+    by_modulus: dict[int, list[DirichletChar]] = {}
+    for f, run in itertools.groupby(chars, operator.attrgetter("modulus")):
+        by_modulus.setdefault(f, []).extend(run)
+    units: dict[int, list[int]] = {}  # k -> the j in [1, k) prime to k
     orbits = []
-    for chi in chars:
-        if chi.key() in left:
-            f, k = chi.modulus, chi.value_order
-            orbits.append([(j, left.pop((f, _pow_exponents(chi, j)))) for j in range(1, k)
-                           if gcd(j, k) == 1])
+    for f, run in by_modulus.items():
+        orders = _components(f).orders
+        left = {chi.exponents: chi for chi in run}
+        for chi in run:
+            e = chi.exponents
+            if e in left:
+                k = _value_order(orders, e)
+                js = units.get(k)
+                if js is None:
+                    js = units[k] = [j for j in range(1, k) if gcd(j, k) == 1]
+                # one column of exponents per generator, zipped into keys
+                keys = zip(*[[x * j % o for j in js] for x, o in zip(e, orders)])
+                orbits.append(list(zip(js, map(left.pop, keys))))
     return orbits

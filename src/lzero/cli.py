@@ -231,35 +231,39 @@ class _JsonWriter:
     def _verdict_text(self, record, nl) -> str:
         """The text of a VerdictRecord whose fields have the types that
         scans.integrality_verdict gives them.  A tower that is not a
-        PadicTower, a valuation that is not a Fraction or a flag that
-        is not True, False or None raises TypeError."""
+        PadicTower, a valuation that is not a Fraction, a flag that is not a
+        bool (question2_zero may also be None), or exponents that are not a
+        tuple of ints (a bool included), raises TypeError."""
         (modulus, exponents, p, tower, valuation, global_integral, omega_inverse,
          consistent, question2_zero, notes) = record
         layout = self._verdicts.get(nl)
         if layout is None:
             layout = self._verdicts[nl] = (*self._layout(_VERDICT_KEYS, nl), {})
         heads, inner, lists = layout
-        if type(tower) is not PadicTower or type(valuation) is not Fraction:
-            raise TypeError(f"cannot serialize a VerdictRecord with a {type(tower).__name__} "
-                            f"tower and a {type(valuation).__name__} valuation")
+        # 1 == True and (1,) == (True,), so the literals and the texts kept
+        # by exponents would render an int flag or a bool exponent wrongly
+        if (type(tower) is not PadicTower or type(valuation) is not Fraction
+                or type(consistent) is not bool or type(global_integral) is not bool
+                or type(omega_inverse) is not bool
+                or (question2_zero is not None and type(question2_zero) is not bool)
+                or type(exponents) is not tuple or any(type(e) is not int for e in exponents)):
+            raise TypeError(f"cannot serialize a VerdictRecord with fields of types "
+                            f"{', '.join(type(v).__name__ for v in record)}")
         exponents_text = lists.get(exponents)
         if exponents_text is None:
             exponents_text = lists[exponents] = self._text(exponents, inner)
-        try:
-            return "".join((
-                heads[0], _LITERAL[consistent],
-                heads[1], exponents_text,
-                heads[2], _LITERAL[global_integral],
-                heads[3], int.__repr__(modulus),
-                heads[4], _ESCAPE(notes),
-                heads[5], _LITERAL[omega_inverse],
-                heads[6], int.__repr__(p),
-                heads[7], _LITERAL[question2_zero],
-                heads[8], self._tower_text(tower, inner),
-                heads[9], '"', str(valuation), '"', nl, "}",
-            ))
-        except KeyError as exc:
-            raise TypeError(f"cannot serialize {exc.args[0]!r} as a flag") from None
+        return "".join((
+            heads[0], _LITERAL[consistent],
+            heads[1], exponents_text,
+            heads[2], _LITERAL[global_integral],
+            heads[3], int.__repr__(modulus),
+            heads[4], _ESCAPE(notes),
+            heads[5], _LITERAL[omega_inverse],
+            heads[6], int.__repr__(p),
+            heads[7], _LITERAL[question2_zero],
+            heads[8], self._tower_text(tower, inner),
+            heads[9], '"', str(valuation), '"', nl, "}",
+        ))
 
     def _bound_text(self, record, nl) -> str:
         """The text of a BoundRecord whose fields have the types that

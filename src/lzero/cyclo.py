@@ -115,6 +115,11 @@ class CycloElt:
     def __setattr__(self, *a):
         raise AttributeError("CycloElt is immutable")
 
+    def __reduce__(self):
+        # rebuilt through __init__: the default reduce would restore the
+        # slots through the blocked __setattr__ (copy, deepcopy and pickle)
+        return (CycloElt, (self.order, self.nums, self.den))
+
     # ---- constructors -------------------------------------------------
 
     @staticmethod

@@ -55,9 +55,9 @@ from .bernoulli import (
 )
 from .characters import (
     DirichletChar,
+    _component_characters,
     _galois_orbits,
     char_eval,
-    conductor,
     enumerate_characters,
     galois_orbits,
     is_odd,
@@ -320,21 +320,35 @@ def root_of_unity_order(chi: DirichletChar) -> int:
     contributes the largest power q^e | f that passes (only 4 for q = 2,
     since (Z/2^e)^* is not cyclic for e >= 3), and -1 is always present,
     whence the lcm with 2.
+
+    The test is read off chi's components (characters._component_characters)
+    and builds no character.  Write m = k/phi(q^x) and k_r for the order of
+    chi's component at r.  chi^m has conductor dividing q^x exactly when k_r
+    divides m for every r != q and chi^m's q-component has conductor
+    dividing q^x.  For odd q the latter always holds: that component's
+    order s divides the order phi(q^x) of chi^m, so v_q(s) < x, and a
+    character of (Z/q^a)^* of order s > 1 has conductor q^(1 + v_q(s)).
+    For 2^a, a >= 3, the exponent of chi^m on 5 must vanish.
     """
-    if not is_primitive(chi):
+    parts = _component_characters(chi)
+    cond, k = 1, 1
+    for _q, _a, _e, (c, _s, kq) in parts:
+        cond *= c
+        k = lcm(k, kq)
+    if cond != chi.modulus:
         raise ValueError("chi must be primitive")
-    f, k = chi.modulus, chi.value_order
     best = 1
-    for q, a in factorize(f).items():
-        if q == 2:
-            powers = [4] if a >= 2 else []
-        else:
-            powers = [q**e for e in range(a, 0, -1)]
-        for n in powers:
-            phi = euler_phi(n)
-            if k % phi == 0 and n % conductor(pow_char(chi, k // phi)) == 0:
-                best *= n
-                break
+    for q, a, e, _entry in parts:
+        others = 1  # the lcm of the other components' orders
+        for r, _a, _e, (_c, _s, kr) in parts:
+            if r != q:
+                others = lcm(others, kr)
+        for x in ([2] if a >= 2 else []) if q == 2 else range(a, 0, -1):
+            m, rem = divmod(k, (q - 1) * q ** (x - 1))
+            if rem or m % others or (q == 2 and a > 2 and e[1] * m % 2 ** (a - 2)):
+                continue
+            best *= q**x
+            break
     return lcm(2, best)
 
 
@@ -379,17 +393,17 @@ def deligne_ribet_scan(f_max: int) -> list[BoundRecord]:
     least c > 0 with c * z in Z[zeta_k]; sigma_j is an automorphism of
     Z[zeta_k], so c * z lies in it exactly when c * sigma_j(z) does, and z
     and sigma_j(z) share their denominator; and sigma_j(z) = 0 only if
-    z = 0.  So every member is checked against the representative's value,
-    and only the representative's is summed or read from the cache.  Rows
-    come in the order of primitive_odd_characters.
+    z = 0.  So the representative's check stands for every member, and only
+    the representative's value is summed or read from the cache.  Rows come
+    in the order of primitive_odd_characters.
     """
     rows = []
     for orbit in galois_orbits(f_max):
         rep = orbit[0][1]
         w = root_of_unity_order(rep)
-        lv = l_value_at_zero(rep).l_at_zero
-        rows.extend(_bound_record(chi, w, lv) for _j, chi in orbit)
-    rows.sort(key=lambda r: (r.modulus, r.exponents))
+        integral = _bound_record(rep, w, l_value_at_zero(rep).l_at_zero).integral
+        rows.extend([BoundRecord(chi.modulus, chi.exponents, w, integral) for _j, chi in orbit])
+    rows.sort()  # by (modulus, exponents), which no two rows share
     return rows
 
 

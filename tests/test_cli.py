@@ -494,6 +494,13 @@ def test_verdict_renderer_writes_every_field_in_sorted_order():
     ("question2_zero", 2),
     ("notes", None),
     ("exponents", (1.5,)),
+    # 1 == True and 0 == False: an int flag is not a bool
+    ("omega_inverse", 1),
+    ("classification_consistent", 0),
+    ("global_integral", 1),
+    ("question2_zero", 0),
+    ("exponents", (True,)),
+    ("exponents", [1]),
 ])
 def test_verdict_renderer_rejects_other_field_types(field, value):
     record = integrality_verdict(DirichletChar(9, (1,)), 3)._replace(**{field: value})
@@ -502,6 +509,16 @@ def test_verdict_renderer_rejects_other_field_types(field, value):
             writer.dumps(record)
         with pytest.raises(TypeError):
             writer.dump({"records": [record]}, lambda text: None)
+
+
+def test_verdict_renderer_rejects_a_bool_exponent_after_its_int_twin():
+    """(True,) == (1,), so the text a writer keeps for the exponents (1,)
+    must not be reused for (True,)."""
+    record = integrality_verdict(DirichletChar(9, (1,)), 3)
+    for writer in (_JsonWriter(), _JsonWriter(compact=True)):
+        writer.dumps(record)
+        with pytest.raises(TypeError):
+            writer.dumps(record._replace(exponents=(True,)))
 
 
 _BOUNDS = st.builds(

@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic against sympy/mpmath oracles and field axioms."""
 
+import copy
 import functools
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -91,6 +93,32 @@ def test_lowest_terms_and_printing():
     assert CycloElt.zero(4).coord_strings() == ["0/1", "0/1"]
     with pytest.raises(ZeroDivisionError):
         CycloElt(4, [1, 0], 0)
+
+
+@pytest.mark.parametrize("how", [
+    *(f"pickle-{protocol}" for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    "copy", "deepcopy",
+])
+def test_copies_are_equal_and_immutable(how):
+    for a in (CycloElt(4, [1, 2], 3), CycloElt(1, [5]), CycloElt.zeta(12, 5) * Fraction(1, 7)):
+        if how == "copy":
+            b = copy.copy(a)
+        elif how == "deepcopy":
+            b = copy.deepcopy(a)
+        else:
+            b = pickle.loads(pickle.dumps(a, protocol=int(how.split("-")[1])))
+        assert type(b) is CycloElt
+        assert b == a
+        assert (b.order, b.nums, b.den) == (a.order, a.nums, a.den)
+        with pytest.raises(AttributeError, match="immutable"):
+            b.den = 1
+
+
+def test_l_value_record_pickles():
+    """An LValueRecord, a character and two CycloElts, survives pickling, so
+    it can cross a process boundary."""
+    record = bernoulli.l_value_at_zero(DirichletChar(7, (1,)))
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def _norm(a: CycloElt) -> Fraction:
