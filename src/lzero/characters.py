@@ -457,19 +457,20 @@ def _galois_orbits(chars: list[DirichletChar]) -> list[list[tuple[int, Dirichlet
     """chars, a Galois-closed list of characters, partitioned into orbits.
 
     The orbit of chi, of value order k, is {chi^j : gcd(j, k) = 1}; it is
-    listed as the pairs (j, chi^j) for j = 1, ..., k - 1 prime to k, so its
-    first member (j = 1) is chi itself, the first character of the orbit in
-    the order of chars.  Conjugates share the modulus, the conductor, the
-    value order and the parity: an odd chi has even k, so j is odd.  The
-    orbits come one modulus at a time, the moduli in the order they first
-    appear in chars, so a list sorted by modulus keeps its order.
+    listed as the pairs (j, chi^j) for j = 1, ..., k prime to k (j = 1 alone
+    when chi is trivial, k = 1), so its first member (j = 1) is chi itself,
+    the first character of the orbit in the order of chars.  Conjugates
+    share the modulus, the conductor, the value order and the parity: an
+    odd chi has even k, so j is odd.  The orbits come one modulus at a time,
+    the moduli in the order they first appear in chars, so a list sorted by
+    modulus keeps its order.
     """
     # members are the objects in chars, found by the exponents e * j mod o of
     # chi^j, so each character is built once
     by_modulus: dict[int, list[DirichletChar]] = {}
     for f, run in itertools.groupby(chars, operator.attrgetter("modulus")):
         by_modulus.setdefault(f, []).extend(run)
-    units: dict[int, list[int]] = {}  # k -> the j in [1, k) prime to k
+    units: dict[int, list[int]] = {}  # k -> the j in [1, k] prime to k
     orbits = []
     for f, run in by_modulus.items():
         orders = _components(f).orders
@@ -480,8 +481,9 @@ def _galois_orbits(chars: list[DirichletChar]) -> list[list[tuple[int, Dirichlet
                 k = _value_order(orders, e)
                 js = units.get(k)
                 if js is None:
-                    js = units[k] = [j for j in range(1, k) if gcd(j, k) == 1]
-                # one column of exponents per generator, zipped into keys
-                keys = zip(*[[x * j % o for j in js] for x, o in zip(e, orders)])
+                    js = units[k] = [j for j in range(1, k + 1) if gcd(j, k) == 1]
+                # one column of exponents per generator, zipped into keys; a
+                # modulus with no generators (f = 1, 2) has the one key ()
+                keys = zip(*[[x * j % o for j in js] for x, o in zip(e, orders)]) if e else [e]
                 orbits.append(list(zip(js, map(left.pop, keys))))
     return orbits

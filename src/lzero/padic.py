@@ -37,35 +37,35 @@ x^(k') - 1 at the new precision and a correction formed at half of it
 The image of zeta_k is normalised by CRT: zeta_k^(k') = 1 + pi and
 zeta_k^(p^a) = x.  This makes the place restrict to the place of the tame
 subfield, so residues are comparable across towers sharing the same k'.
-So zeta_k = (1 + pi)^alpha x^beta with alpha k' = 1 mod p^a and
-beta p^a = 1 mod k' is a pure tensor, and so is each of its powers: the
-image of zeta_k^m is the outer product U[alpha m mod p^a] (x) V[beta m mod k']
-of a row of U[n] = (1 + pi)^n mod E and a row of V[m] = x^m mod g.  Each
-tower has one table, the images of zeta_k^0, ..., zeta_k^(phi(k) - 1),
-cached by this module under the tower's fields (_zeta_power_columns), so
-a tower itself is only its fields.  An element of a subfield Q(zeta_m) is
-first rewritten in Q(zeta_k) (CycloElt.embed_into), so every embedding
-reads that table.  Every power table (U, V, the residues x^e mod the chosen
-factor) is built one row at a time, a product or a shift reduced mod a
-monic polynomial and a modulus.  Every product and remainder here is one
-of _kernels: a product keeps no table, it is reduced in place by its monic
+So zeta_k = y^alpha w^beta with alpha k' = 1 mod p^a, beta p^a = 1 mod k',
+y = 1 + pi and w = x: Z[zeta_k] = Z[y]/Phi_{p^a}(y) (x) Z[w]/Phi_{k'}(w),
+and zeta_k^m = y^u w^t, u = alpha m mod p^a, t = beta m mod k'.
+embed_padic keeps no table: it adds each numerator into its bucket (u, t),
+folds the buckets exactly over Z (in y by Phi_{p^a}, leaving the e rows
+u < e; in w by Phi_{k'}), and reads pi-row j of the image as
+sum_u C(u, j) y_u: (1 + pi)^u has degree u < e, so no reduction by E.
+Each row is then reduced by the lifted g mod p^N.  The binomials mod p^N
+are one triangle per (e, p^N) (_binomial_rows), shared by every k', so a
+tower is only its fields.  Every product and remainder here is one of
+_kernels: a product keeps no table, it is reduced in place by its monic
 moduli (mulmod, and tower_mul by the lifted g and then E).
 
 Valuations are judged in the residue field first.  zeta_k^m reduces to
 x^(beta m mod k') in O/P = F_p[x]/(g mod p) at every precision, so a value
 whose denominator is prime to p is p-integral, and its residue
-(residue_image) is read off its numerators with no table.  A nonzero
-residue means valuation 0, in the tower at the starting precision;
-cyclo_valuation embeds only a value with p | den or a zero residue, and
-runs the precision ladder on it (_ladder).  So a tower's table is built
-only if some value falls through to the ladder.
+(residue_image) is read off its numerators: embed_padic's row 0 mod p,
+with the y-buckets summed because y = 1 mod pi.  A nonzero residue means
+valuation 0, in the tower at the starting precision; cyclo_valuation
+embeds only a value with p | den or a zero residue, and runs the precision
+ladder on it (_ladder).
 """
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from lzero._kernels import mulmod, reduce_mod, tower_mul
@@ -311,11 +311,18 @@ def _eisenstein_poly(p: int, a: int) -> tuple[int, ...]:
     return tuple(sum(comb(i * q, m) for i in range(p)) for m in range((p - 1) * q + 1))
 
 
-def _x_powers(monic, count: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """x^0, ..., x^(count - 1) mod (monic, m), as deg(monic) coefficients."""
-    rows = [(1,) + (0,) * (len(monic) - 2)]
-    for _ in range(count - 1):
-        rows.append(tuple(reduce_mod([0, *rows[-1]], monic, m)))
+@functools.lru_cache(maxsize=None)
+def _binomial_rows(e: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Row j holds C(u, j) mod m for j <= u < e: the pi^j-coefficients of
+    (1 + pi)^u, u < e.  Row j is the prefix sums of row j - 1 (C(u, j) =
+    sum_{v<u} C(v, j - 1)).
+
+    >>> _binomial_rows(4, 3)
+    ((1, 1, 1, 1), (1, 2, 0), (1, 0), (1,))
+    """
+    rows = [(1,) * e]
+    for _ in range(e - 1):
+        rows.append(tuple(c % m for c in accumulate(rows[-1][:-1])))
     return tuple(rows)
 
 
@@ -326,9 +333,9 @@ class PadicTower(NamedTuple):
     """The fixed local model for (p, k) at working precision p^N: the place
     a verdict is judged at, and what a report prints for it.
 
-    A plain named tuple with no instance __dict__: its one table is cached
-    by _zeta_power_columns under its fields, so a pickled tower carries
-    these eight fields alone.  A product (PadicElt.__mul__) reads no table.
+    A plain named tuple with no instance __dict__ and no table: no cache is
+    keyed on it (embed_padic reads only the binomial rows of its (e, p^N)),
+    so a pickled tower carries these eight fields alone.
     """
 
     p: int
@@ -343,35 +350,6 @@ class PadicTower(NamedTuple):
     @property
     def modulus(self) -> int:
         return self.p**self.precision
-
-
-@functools.lru_cache(maxsize=None)
-def _zeta_power_columns(tower: PadicTower) -> tuple:
-    """The images of zeta_k^0, ..., zeta_k^(phi(k) - 1) in tower, stored by
-    column: one tuple per matrix entry (row-major), holding that entry of
-    every image.  Built on first use and cached, keyed by the tower's fields.
-
-    The image of zeta_k^m is the outer product of U[alpha m mod p^a]
-    (the pi-row of (1 + pi)^(alpha m)) and V[beta m mod k'] (the x-row
-    of x^(beta m)); x^k' = 1 mod g and (1 + pi)^(p^a) = 1 mod E.
-    """
-    p, pN = tower.p, tower.modulus
-    k1, beta = _tame_part(p, tower.k)
-    pa = tower.k // k1
-    alpha = pow(k1, -1, pa)
-    v = _x_powers(tower.factor, k1, pN)
-    eis = _eisenstein_poly(p, tower.wild_exp)
-    u = [(1,) + (0,) * (tower.e_ram - 1)]
-    for _ in range(pa - 1):
-        u.append(tuple(mulmod(u[-1], (1, 1), eis, pN)))
-    ms = range(euler_phi(tower.k))
-    us = [u[alpha * m % pa] for m in ms]
-    vs = [v[beta * m % k1] for m in ms]
-    return tuple(
-        tuple(ui[j] * vi[l] % pN for ui, vi in zip(us, vs))
-        for j in range(tower.e_ram)
-        for l in range(tower.f_res)
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,25 +385,40 @@ class PadicElt(NamedTuple):
 def embed_padic(z: CycloElt, tower: PadicTower) -> PadicElt:
     """The image of z under the fixed embedding; z.order must divide k.
 
-    z is first rewritten in Q(zeta_k) (CycloElt.embed_into).  The embedding
-    is Z-linear: with z = (sum_i n_i zeta_k^i) / den, each matrix entry of
-    the image is sum_i n_i img(zeta_k^i) mod p^N, scaled by the inverse of
-    den's p-free part; den's p-part becomes the shift.  The images
-    img(zeta_k^i) come from the tower's one table
-    (_zeta_power_columns).
+    z is first rewritten in Q(zeta_k) (CycloElt.embed_into), z = (sum_m n_m
+    zeta_k^m) / den, and each n_m is added into bucket (u, t) of
+    zeta_k^m = y^u w^t (module docstring).  Each row u >= e is folded over Z
+    by Phi_{p^a}(y) = sum_{i<p} y^(i p^(a-1)) into the rows u - e + i p^(a-1),
+    i < p - 1, all below e, and each of the e rows left by Phi_{k'}
+    (cyclo._reduce).  The pi-row j of the image is sum_u C(u, j) y_u
+    (_binomial_rows), reduced by the lifted g mod p^N and scaled by the
+    inverse of den's p-free part; den's p-part becomes the shift.
     """
     z = z.embed_into(tower.k)
-    p, pN, N = tower.p, tower.modulus, tower.precision
+    p, pN, N, e = tower.p, tower.modulus, tower.precision, tower.e_ram
     s = valuation(z.den, p) if z.den % p == 0 else 0
     if s >= N:
         raise PrecisionExhausted(
             f"denominator p-exponent {s} consumes the precision budget N={N}"
         )
     inv_unit = pow(z.den // p**s, -1, pN)
-    flat = [sum(map(mul, z.nums, col)) * inv_unit % pN for col in _zeta_power_columns(tower)]
-    f = tower.f_res
-    mat = tuple(tuple(flat[j : j + f]) for j in range(0, len(flat), f))
-    return PadicElt(tower, s, mat)
+    k1, beta = _tame_part(p, tower.k)
+    pa = tower.k // k1
+    alpha = pow(k1, -1, pa)
+    rows = [[0] * k1 for _ in range(pa)]
+    for m, n in enumerate(z.nums):
+        if n:
+            rows[alpha * m % pa][beta * m % k1] += n
+    for u in range(pa - 1, e - 1, -1):  # y^u = -sum_{i<p-1} y^(u - e + i p^(a-1))
+        src = rows.pop()
+        for i in range(u - e, e, pa // p):
+            rows[i] = list(map(sub, rows[i], src))
+    cols = list(zip(*(_reduce(k1, row) for row in rows)))
+    mat = []
+    for j, binomials in enumerate(_binomial_rows(e, pN)):
+        row = [sum(map(mul, binomials, col[j:])) for col in cols]
+        mat.append(tuple(c * inv_unit % pN for c in reduce_mod(row, tower.factor, pN)))
+    return PadicElt(tower, s, tuple(mat))
 
 
 def padic_valuation(elt: PadicElt):
@@ -495,8 +488,8 @@ def residue_image(z: CycloElt, p: int) -> tuple[int, ...]:
     zeta_k^m reduces to x^(beta m mod k') (_tame_part: the p-power part goes
     to 1), so with z = (sum_m n_m zeta_k^m) / den, k = z.order, each n_m is
     added into bucket beta m mod k', the buckets are reduced once mod (g, p)
-    and the result is scaled by den^(-1) mod p.  No table is built: this is
-    the row 0 of embed_padic's image, mod p (padic_residue).
+    and the result is scaled by den^(-1) mod p.  This is the row 0 of
+    embed_padic's image, mod p (padic_residue).
 
     >>> residue_image(CycloElt.rational(10), 7)
     (3,)
@@ -518,7 +511,7 @@ def cyclo_valuation(z: CycloElt, p: int, n_start: int = N_START):
     the precision N the valuation was decided at.  A value whose denominator
     is prime to p is p-integral, and it is a unit exactly when its residue
     (residue_image) is nonzero: then the valuation is 0 and the tower is the
-    one at n_start, whose table is not built.  Any other value runs the
+    one at n_start, and it is not embedded.  Any other value runs the
     precision ladder (_ladder): N = n_start, 2 n_start, ... up to N_CAP,
     raising PrecisionExhausted if it ends without a decision.
     """
@@ -553,7 +546,11 @@ def _ladder(z: CycloElt, p: int, n_start: int):
 @functools.lru_cache(maxsize=None)
 def _power_residues(p: int, k1: int) -> tuple[tuple[int, ...], ...]:
     """x^e mod the chosen factor of Phi_{k1} mod p, for e = 0, ..., k1 - 1."""
-    return _x_powers(residue_factor(p, k1), k1, p)
+    g = residue_factor(p, k1)
+    rows = [(1,) + (0,) * (len(g) - 2)]
+    for _ in range(k1 - 1):
+        rows.append(tuple(reduce_mod([0, *rows[-1]], g, p)))
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)

@@ -125,6 +125,21 @@ def test_galois_orbits_group_interleaved_moduli():
     _same_orbits(_galois_orbits(mixed), want)
 
 
+@pytest.mark.parametrize("f", [1, 2, 5, 12, 15])
+def test_galois_orbits_partition_every_character(f):
+    """All the characters mod f, the trivial one (value order 1) included:
+    each lies in exactly one orbit, and the trivial one is alone in its."""
+    chars = enumerate_characters(f)
+    orbits = _galois_orbits(chars)
+    members = [chi for orbit in orbits for _, chi in orbit]
+    assert sorted(map(id, members)) == sorted(map(id, chars))
+    trivial = next(chi for chi in chars if not any(chi.exponents))
+    assert [(1, trivial)] in orbits
+    for orbit in orbits:
+        first = orbit[0][1]
+        assert all(chi == pow_char(first, j) for j, chi in orbit)
+
+
 def test_root_of_unity_order_matches_pow_char_definition():
     for chi in primitive_odd_characters(F_MAX):
         assert root_of_unity_order(chi) == _reference_root_of_unity_order(chi), chi

@@ -9,8 +9,8 @@ rebuilds the same answer one character at a time (integrality_verdict,
 deligne_ribet_check, l_value_at_zero) and compares.  The classification
 scan judges the orbits of one value order k together, since the towers
 (p, k, N) serve them alone; the tests at the end check that grouping, that
-each record holds the tower it was judged in, and that a tower's table is
-built only where a value fell through to the precision ladder.
+each record holds the tower it was judged in, and that a scan embeds only
+where a value fell through to the precision ladder.
 """
 
 import json
@@ -306,35 +306,37 @@ def test_records_judged_in_one_tower_share_its_descriptor():
 
 @pytest.fixture
 def empty_tower_cache():
-    # build_tower's and _zeta_power_columns's lru_caches are process-wide:
-    # a tower another test embedded in keeps its table
+    # build_tower's and _binomial_rows's lru_caches are process-wide: a
+    # tower or a triangle another test built is kept
     build_tower.cache_clear()
-    padic._zeta_power_columns.cache_clear()
+    padic._binomial_rows.cache_clear()
 
 
 def test_a_scan_builds_tables_only_where_the_ladder_ran(monkeypatch, empty_tower_cache):
-    # a value the residue field judges needs no table; a tower's table is
-    # built once, and only if some value of its group fell through to the
-    # ladder and stopped there
-    read, stops = [], set()
-    columns, ladder = padic._zeta_power_columns, padic._ladder
+    # a value the residue field judges is not embedded; a scan embeds only
+    # in the towers the ladder stopped on, and builds one triangle of
+    # binomial rows per (e, p^N) among them
+    embedded, stops = set(), set()
+    embed, ladder = padic.embed_padic, padic._ladder
 
-    def recording_columns(tower):
-        read.append(tower[:3])
-        return columns(tower)
+    def recording_embed(z, tower):
+        image = embed(z, tower)
+        embedded.add(tower)
+        return image
 
     def recording_ladder(z, p, n_start):
         judged = ladder(z, p, n_start)
         stops.add(judged[1][:3])
         return judged
 
-    monkeypatch.setattr(padic, "_zeta_power_columns", recording_columns)
+    monkeypatch.setattr(padic, "embed_padic", recording_embed)
     monkeypatch.setattr(padic, "_ladder", recording_ladder)
     records = nonintegral_locus_scan(40, 13)
     used = {r.tower[:3] for r in records}
-    assert columns.cache_info().misses == len(set(read))
-    assert set(read) == stops
+    assert {t[:3] for t in embedded} == stops
     assert stops < used
+    assert padic._binomial_rows.cache_info().misses == len(
+        {(t.e_ram, t.modulus) for t in embedded})
 
 
 @pytest.mark.parametrize("n_start", [N_START, 1])

@@ -27,7 +27,7 @@ from lzero import (
 )
 from lzero import padic
 from lzero.cyclo import _reduce, cyclotomic_poly
-from lzero._kernels import reduce_mod
+from lzero._kernels import mulmod, reduce_mod
 from lzero.padic import (
     PadicElt,
     _eisenstein_poly,
@@ -283,7 +283,7 @@ def test_pm_gcd_matches_sympy(a, b, p):
 def test_tower_invariants(p, k, e, f):
     t = build_tower(p, k)
     assert (t.e_ram, t.f_res) == (e, f)
-    z = _column_image(t, 1)
+    z = embed_padic(CycloElt.zeta(k, 1), t)
     one = _elt(t, {(0, 0): 1})
     powers = [one]
     for _ in range(k):
@@ -300,13 +300,6 @@ def _elt(tower, entries):
     for (j, i), c in entries.items():
         mat[j][i] = c % tower.modulus
     return PadicElt(tower, 0, tuple(map(tuple, mat)))
-
-
-def _column_image(tower, i):
-    """The image of zeta_k^i, read from the tower's column table."""
-    flat = [col[i] for col in padic._zeta_power_columns(tower)]
-    f = tower.f_res
-    return PadicElt(tower, 0, tuple(tuple(flat[j : j + f]) for j in range(0, len(flat), f)))
 
 
 def _power(z, n):
@@ -332,9 +325,9 @@ def _zeta_reference(t):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_power_columns_match_tower_products(p):
-    # the embedding of each power of zeta_(k/step), read through the
-    # tower's one table, against powers of zeta_k^step taken with the
-    # tower's own product, for every step dividing k
+    # the embedding of each power of zeta_(k/step) against powers of
+    # zeta_k^step taken with the tower's own product, for every step
+    # dividing k
     cases = 0
     for k in range(1, 80):
         for N in (1, 3, 16):
@@ -349,6 +342,74 @@ def test_power_columns_match_tower_products(p):
                     img = img * xi
                 cases += 1
     assert cases > 900
+
+
+def _reference_embed(z, tower):
+    """embed_padic by a per-tower table of the images of zeta_k^m: the
+    columns U[alpha m mod p^a] (x) V[beta m mod k'], m < phi(k), with
+    U[u] = (1 + pi)^u mod (E, p^N) and V[t] = x^t mod (g, p^N), and one flat
+    dot of z's numerators with each column.  Returns (shift, mat)."""
+    z = z.embed_into(tower.k)
+    p, pN, N = tower.p, tower.modulus, tower.precision
+    e, f, k1 = tower.e_ram, tower.f_res, tower.k_tame
+    s = valuation(z.den, p)
+    if s >= N:
+        raise PrecisionExhausted(f"shift {s} at N={N}")
+    pa = tower.k // k1
+    alpha, beta = pow(k1, -1, pa), pow(pa, -1, k1)
+    eis = list(_eisenstein_poly(p, tower.wild_exp))
+    u = [[1] + [0] * (e - 1)]
+    for _ in range(pa - 1):
+        u.append(mulmod(u[-1], [1, 1], eis, pN))
+    v = [[1] + [0] * (f - 1)]
+    for _ in range(k1 - 1):
+        v.append(reduce_mod([0, *v[-1]], list(tower.factor), pN))
+    ms = range(euler_phi(tower.k))
+    inv_unit = pow(z.den // p**s, -1, pN)
+    flat = [sum(n * u[alpha * m % pa][j] * v[beta * m % k1][i] % pN
+                for m, n in zip(ms, z.nums)) * inv_unit % pN
+            for j in range(e) for i in range(f)]
+    return s, tuple(tuple(flat[j : j + f]) for j in range(0, e * f, f))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_embedding_matches_the_table_reference(p):
+    # every k < 120 at N = 1, 3, 16: the same image, or PrecisionExhausted
+    # on both sides when den's p-part uses up the precision
+    rng = random.Random(p)
+    images = raised = 0
+    for k in range(1, 120):
+        for N in (1, 3, 16):
+            tower = build_tower(p, k, N)
+            for den in (1, 7, p, 3 * p**2, p**N):
+                z = CycloElt(k, [rng.randrange(-10**6, 10**6) for _ in range(euler_phi(k))], den)
+                try:
+                    want = _reference_embed(z, tower)
+                except PrecisionExhausted:
+                    with pytest.raises(PrecisionExhausted):
+                        embed_padic(z, tower)
+                    raised += 1
+                    continue
+                got = embed_padic(z, tower)
+                assert (got.shift, got.mat) == want, (k, N, den)
+                images += 1
+    assert images > 1000 and raised > 300
+
+
+@pytest.mark.parametrize("N", [1, 16])
+@pytest.mark.parametrize("p,a", [(3, 1), (3, 3), (5, 2), (7, 2)])
+def test_binomial_rows_are_the_powers_of_one_plus_pi(p, a, N):
+    # row j holds the pi^j-coefficients of (1 + pi)^u, j <= u < e, and
+    # (1 + pi)^u is taken mod (E, p^N) with mulmod
+    eis = list(_eisenstein_poly(p, a))
+    e, pN = len(eis) - 1, p**N
+    rows = padic._binomial_rows(e, pN)
+    assert [len(row) for row in rows] == list(range(e, 0, -1))
+    power = [1] + [0] * (e - 1)
+    for u in range(e):
+        assert [rows[j][u - j] for j in range(u + 1)] == power[: u + 1]
+        assert not any(power[u + 1 :])
+        power = mulmod(power, [1, 1], eis, pN)
 
 
 @pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (13, 1)])
@@ -715,7 +776,7 @@ def test_place_restricts_coherently(p, k_small, k_big):
 def test_zeta_crt_normalisation():
     # zeta_k^(k') = 1 + pi and zeta_k^(p^a) = x in the bivariate model
     t = build_tower(3, 36)  # k' = 4, p^a = 9
-    z = _column_image(t, 1)
+    z = embed_padic(CycloElt.zeta(36, 1), t)
     assert (t.e_ram, t.f_res) == (6, 2)
     assert _power(z, 4).mat == _elt(t, {(0, 0): 1, (1, 0): 1}).mat
     assert _power(z, 9).mat == _elt(t, {(0, 1): 1}).mat

@@ -6,6 +6,7 @@ through a named-tuple base, for the constructor's checks), with no instance
 send them back pickled.
 """
 
+import copy
 import os
 import pickle
 from fractions import Fraction
@@ -175,39 +176,32 @@ def test_dirichlet_char_make_and_replace_check_exponents(flags):
                            "DirichletChar(modulus=15, exponents=(1, 3))\n")
 
 
-def test_zeta_power_columns_are_built_once_per_tower(monkeypatch):
-    tower = build_tower(7, 36, 16)
-    z = CycloElt.zeta(36, 5) * CycloElt.rational(Fraction(3, 7), 36)
-    want, image = padic._zeta_power_columns(tower), embed_padic(z, tower)
-    padic._zeta_power_columns.cache_clear()
-    calls = []
-    x_powers = padic._x_powers
-
-    def counting(*args):
-        calls.append(args)
-        return x_powers(*args)
-
-    monkeypatch.setattr(padic, "_x_powers", counting)
-    first = padic._zeta_power_columns(tower)
-    assert padic._zeta_power_columns(tower) is first
-    # an equal tower, a copy or one a worker sent back, reads the same table
-    copy = pickle.loads(pickle.dumps(PadicTower(*tower)))
-    assert copy is not tower and padic._zeta_power_columns(copy) is first
-    assert embed_padic(z, copy) == embed_padic(z, tower)
-    assert len(calls) == 1
-    # the table built again is the one built before, and so is the image
-    assert first == want and first is not want
-    assert embed_padic(z, tower).mat == image.mat
+def test_a_copied_tower_embeds_to_the_same_image():
+    # no cache is keyed on a tower: an equal tower, a copy or one a worker
+    # sent back, embeds to the same image, and so does the tower itself
+    # once the binomial rows are built again
+    for p in (7, 3):  # tame, and wild with e = 6
+        tower = build_tower(p, 36, 16)
+        z = CycloElt.zeta(36, 5) * CycloElt.rational(Fraction(3, 7), 36)
+        image = embed_padic(z, tower)
+        for twin in (pickle.loads(pickle.dumps(PadicTower(*tower))),
+                     copy.copy(tower), copy.deepcopy(tower)):
+            got = embed_padic(z, twin)
+            assert twin == tower and got.tower is twin
+            assert (got.shift, got.mat) == (image.shift, image.mat)
+        padic._binomial_rows.cache_clear()
+        assert embed_padic(z, tower) == image
 
 
 def test_a_tower_pickles_without_its_table():
+    # a tower pickles as its eight fields, before and after it embeds
     tower = PadicTower(*build_tower(5, 36, 16))
-    padic._zeta_power_columns.cache_clear()
     bare = pickle.dumps(tower)
-    padic._zeta_power_columns(tower)
-    assert padic._zeta_power_columns.cache_info().currsize == 1
+    embed_padic(CycloElt.zeta(36, 5), tower)
     assert pickle.dumps(tower) == bare
     assert pickle.loads(bare) == tower and type(pickle.loads(bare)) is PadicTower
+    assert tuple(pickle.loads(bare)) == tuple(build_tower(5, 36, 16))
+    assert len(PadicTower._fields) == 8
 
 
 def test_towers_sent_back_by_workers_equal_the_built_ones():
